@@ -17,7 +17,6 @@ from .errors import (
     SolverError,
 )
 from .geometry import (
-    FeasibilityReport,
     GeometryParams,
     JointPointSet,
     forward_kinematics,
@@ -39,10 +38,8 @@ from .mass_model import (
 from .profiles import (
     BANG_BANG,
     QUINTIC,
-    LineSegment3,
     ProfileSpec,
     bang_bang_scalar,
-    line_trajectory,
     peak_acceleration,
     quintic_scalar,
 )
@@ -85,12 +82,10 @@ __all__ = [
     "BANG_BANG",
     "ComparisonReport",
     "ConfigError",
-    "FeasibilityReport",
     "GeometryParams",
     "InfeasiblePoseError",
     "JointPointSet",
     "KinematicsError",
-    "LineSegment3",
     "LumpedPointSet",
     "MassParams",
     "MODE_COM_LINE",
@@ -119,7 +114,6 @@ __all__ = [
     "inverse_kinematics",
     "is_feasible",
     "joint_points",
-    "line_trajectory",
     "load_config",
     "lumped_points",
     "peak_acceleration",

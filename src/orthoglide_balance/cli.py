@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig, default_config, load_config, validate_config
-from .dynamics import ComparisonReport, evaluate, reduction_pct
+from .dynamics import compare, evaluate
 from .errors import ConfigError, PlanningError, SolverError
 from .planner import MODE_COM_LINE, MODE_PLATFORM_LINE, plan_com_line, plan_platform_line
 
@@ -33,21 +33,17 @@ _PLANNERS = {
 }
 
 
-def _fmt(x: float) -> str:
-    # 15 significant digits, fixed scientific notation
-    return f"{x:.14e}"
-
-
 def write_trajectory_csv(path, traj, force_series, moment_series) -> None:
-    fmag = np.linalg.norm(force_series.force, axis=1)
-    mmag = np.linalg.norm(moment_series.moment, axis=1)
-    lines = [CSV_HEADER]
-    for k in range(len(traj)):
-        row = ([traj.t[k]] + list(traj.platform[k]) + list(traj.joints[k])
-               + list(traj.com[k]) + list(force_series.force[k]) + [fmag[k]]
-               + list(moment_series.moment[k]) + [mmag[k]])
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """One row per sample, each value with 15 significant digits in fixed
+    scientific notation."""
+    table = np.column_stack([
+        traj.t, traj.platform, traj.joints, traj.com,
+        force_series.force, np.linalg.norm(force_series.force, axis=1),
+        moment_series.moment, np.linalg.norm(moment_series.moment, axis=1),
+    ])
+    row = ",".join(["%.14e"] * table.shape[1]) + "\n"
+    text = CSV_HEADER + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _summary_dict(cfg: ScenarioConfig, summaries: dict, report) -> dict:
@@ -117,12 +113,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
 
     report = None
     if MODE_PLATFORM_LINE in summaries and MODE_COM_LINE in summaries:
-        unbal = summaries[MODE_PLATFORM_LINE]
-        bal = summaries[MODE_COM_LINE]
-        report = ComparisonReport(
-            unbalanced=unbal, balanced=bal,
-            force_reduction_pct=reduction_pct(unbal.peak_force, bal.peak_force),
-            moment_reduction_pct=reduction_pct(unbal.peak_moment, bal.peak_moment))
+        report = compare(summaries[MODE_PLATFORM_LINE], summaries[MODE_COM_LINE])
 
     summary = _summary_dict(cfg, summaries, report)
     (out / "summary.json").write_text(

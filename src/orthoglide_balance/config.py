@@ -19,9 +19,8 @@ All quantities are SI (meters, seconds, kilograms).
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
-from .geometry import GeometryParams, is_feasible
+from .errors import ConfigError
+from .geometry import GeometryParams
 from .mass_model import MassParams
 from .planner import PLAN_MODES, PlanRequest
 
@@ -116,58 +115,29 @@ def default_config() -> ScenarioConfig:
     )
 
 
-def _finite_vec3(v) -> bool:
+def _section(violations, name, build):
+    """Build a parameter dataclass; on ConfigError, record its violations
+    under the section's field path and return None."""
     try:
-        arr = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
-        return False
-    return arr.shape == (3,) and bool(np.all(np.isfinite(arr)))
+        return build()
+    except ConfigError as exc:
+        violations.extend(f"{name}.{item}" for item in exc.violations)
+        return None
 
 
 def validate_config(cfg: ScenarioConfig) -> list:
     """Check every invariant; return the list of violations (empty when ok).
 
-    Messages name the offending field path so a CLI user can fix the file.
+    The geometry, mass and trajectory rules are those of GeometryParams,
+    MassParams and PlanRequest; the modes list and output_dir are checked
+    here.  Messages name the offending field path so a CLI user can fix the
+    file.
     """
     v = []
-    geometry_ok = True
-    if not (np.isfinite(cfg.L) and cfg.L > 0):
-        v.append(f"geometry.L must be > 0, got {cfg.L}")
-        geometry_ok = False
-    if not (np.isfinite(cfg.l) and cfg.l >= 0):
-        v.append(f"geometry.l must be >= 0, got {cfg.l}")
-        geometry_ok = False
-    for name in ("s_x", "s_y", "s_z"):
-        if getattr(cfg, name) not in (-1, 1):
-            v.append(f"geometry.{name} must be ±1, got {getattr(cfg, name)}")
-            geometry_ok = False
-
-    masses_ok = True
-    for name in ("m1", "m2", "m3"):
-        m = getattr(cfg, name)
-        if not (np.isfinite(m) and m >= 0):
-            v.append(f"masses.{name} must be >= 0, got {m}")
-            masses_ok = False
-    if masses_ok and not 3 * (cfg.m1 + cfg.m2) + cfg.m3 > 0:
-        v.append("masses: total moving mass must be > 0")
-
-    if not (np.isfinite(cfg.t_f) and cfg.t_f > 0):
-        v.append(f"trajectory.t_f must be > 0, got {cfg.t_f}")
-    if not (np.isfinite(cfg.dt) and cfg.dt > 0):
-        v.append(f"trajectory.dt must be > 0, got {cfg.dt}")
-    elif np.isfinite(cfg.t_f) and cfg.t_f > 0 and cfg.dt > cfg.t_f / 100.0 * (1.0 + 1e-12):
-        v.append(f"trajectory.dt too large: need ≥ 100 samples, got dt = {cfg.dt} "
-                 f"for t_f = {cfg.t_f}")
-
-    for name in ("p_i", "p_f"):
-        p = getattr(cfg, name)
-        if not _finite_vec3(p):
-            v.append(f"trajectory.{name} must be a finite 3-vector, got {p!r}")
-        elif geometry_ok:
-            rep = is_feasible(p, cfg.geometry_params())
-            if not rep.feasible:
-                v.append(f"trajectory.{name} = {list(p)} is outside the workspace "
-                         f"(min radicand {np.min(rep.radicands):.6g} m²)")
+    geometry = _section(v, "geometry", cfg.geometry_params)
+    _section(v, "masses", cfg.mass_params)
+    v.extend(f"trajectory.{item}" for item in
+             PlanRequest.violations(cfg.p_i, cfg.p_f, cfg.t_f, cfg.dt, geometry))
 
     if not cfg.modes:
         v.append("modes must not be empty")

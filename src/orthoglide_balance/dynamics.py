@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import GeometryParams
 from .mass_model import MassParams, lumped_points
-from .planner import Trajectory
+from .planner import Trajectory, uniform_dt
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,6 @@ class ComparisonReport:
     moment_reduction_pct: float
 
 
-def uniform_dt(t: np.ndarray) -> float:
-    """Return the grid step, rejecting non-uniform time grids."""
-    t = np.asarray(t, dtype=float)
-    if len(t) < 2:
-        raise ValueError("need at least two samples")
-    dt = (t[-1] - t[0]) / (len(t) - 1)
-    if not np.allclose(np.diff(t), dt, rtol=1e-6, atol=1e-12):
-        raise ValueError("non-uniform time grid; dynamics needs equally spaced samples")
-    return float(dt)
-
-
 def second_time_derivative(y: np.ndarray, dt: float) -> np.ndarray:
     """Second derivative of a uniformly sampled series along its first axis.
 
@@ -104,13 +93,9 @@ def shaking_moment_series(traj: Trajectory, g: GeometryParams,
     finite-differenced from that point's own position series.
     """
     dt = uniform_dt(traj.t)
-    n = len(traj)
-    positions = np.empty((n, 7, 3))
-    for k in range(n):
-        positions[k] = lumped_points(traj.platform[k], traj.joints[k], g, mp).positions
-    masses = lumped_points(traj.platform[0], traj.joints[0], g, mp).masses
-    accels = second_time_derivative(positions, dt)
-    moment = np.einsum("k,nkj->nj", masses, np.cross(positions, accels))
+    pts = lumped_points(traj.platform, traj.joints, g, mp)
+    accels = second_time_derivative(pts.positions, dt)
+    moment = np.einsum("k,nkj->nj", pts.masses, np.cross(pts.positions, accels))
     return ShakingMomentSeries(t=traj.t, moment=moment)
 
 
@@ -144,24 +129,11 @@ def reduction_pct(unbalanced: float, balanced: float) -> float:
     return (1.0 - balanced / unbalanced) * 100.0
 
 
-def compare(traj_unbalanced: Trajectory, traj_balanced: Trajectory,
-            g: GeometryParams, mp: MassParams) -> ComparisonReport:
-    """Compare the loads of two plans of the same scenario.
-
-    Both trajectories must share the duration and the endpoint poses;
-    mismatched scenarios raise ValueError.
-    """
-    if not np.isclose(traj_unbalanced.t[-1], traj_balanced.t[-1], rtol=1e-12, atol=1e-12):
-        raise ValueError("mismatched scenarios: trajectories differ in duration")
-    for k, name in ((0, "initial"), (-1, "final")):
-        if not np.allclose(traj_unbalanced.platform[k], traj_balanced.platform[k],
-                           rtol=0.0, atol=1e-9):
-            raise ValueError(f"mismatched scenarios: trajectories differ in {name} pose")
-    _, _, summary_u = evaluate(traj_unbalanced, g, mp)
-    _, _, summary_b = evaluate(traj_balanced, g, mp)
+def compare(unbalanced: ShakingSummary, balanced: ShakingSummary) -> ComparisonReport:
+    """Reduction of the peak loads from the unbalanced to the balanced plan."""
     return ComparisonReport(
-        unbalanced=summary_u,
-        balanced=summary_b,
-        force_reduction_pct=reduction_pct(summary_u.peak_force, summary_b.peak_force),
-        moment_reduction_pct=reduction_pct(summary_u.peak_moment, summary_b.peak_moment),
+        unbalanced=unbalanced,
+        balanced=balanced,
+        force_reduction_pct=reduction_pct(unbalanced.peak_force, balanced.peak_force),
+        moment_reduction_pct=reduction_pct(unbalanced.peak_moment, balanced.peak_moment),
     )

@@ -4,14 +4,18 @@
 class InfeasiblePoseError(ValueError):
     """Platform pose lies outside the reachable workspace.
 
-    ``axis`` names the first offending prismatic axis ("x", "y" or "z") and
-    ``radicand`` holds its negative radicand value in m^2.
+    ``axis`` names the most violated prismatic axis ("x", "y" or "z") of the
+    first offending pose and ``radicand`` holds its negative radicand value
+    in m^2.  For a batch of poses, ``index`` is the row of the first
+    offending pose (counted over the flattened leading dimensions); it is
+    None for a single pose.
     """
 
-    def __init__(self, message, axis=None, radicand=None):
+    def __init__(self, message, axis=None, radicand=None, index=None):
         super().__init__(message)
         self.axis = axis
         self.radicand = radicand
+        self.index = index
 
 
 class KinematicsError(ValueError):
@@ -37,9 +41,9 @@ class PlanningError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """Scenario configuration failed validation; ``violations`` lists them all."""
+    """Parameters or a scenario failed validation; ``violations`` lists them all."""
 
     def __init__(self, violations):
         lines = "\n".join(f"  - {v}" for v in violations)
-        super().__init__(f"invalid scenario configuration:\n{lines}")
+        super().__init__(f"invalid configuration:\n{lines}")
         self.violations = list(violations)

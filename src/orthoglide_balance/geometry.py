@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasiblePoseError, KinematicsError, SolverError
+from .errors import ConfigError, InfeasiblePoseError, KinematicsError, SolverError
 
 AXIS_NAMES = ("x", "y", "z")
 
@@ -34,6 +34,11 @@ class GeometryParams:
     s : tuple of int
         Configuration indices (s_x, s_y, s_z), each -1 or +1, selecting which
         of the two inverse-kinematics branches each chain uses.
+
+    Raises
+    ------
+    ConfigError
+        Listing every violated rule, each prefixed by its field name.
     """
 
     L: float
@@ -41,33 +46,28 @@ class GeometryParams:
     s: tuple = (1, 1, 1)
 
     def __post_init__(self):
+        v = []
         if not (np.isfinite(self.L) and self.L > 0):
-            raise ValueError(f"leg length L must be > 0, got {self.L}")
+            v.append(f"L must be > 0, got {self.L}")
         if not (np.isfinite(self.l) and self.l >= 0):
-            raise ValueError(f"slider offset l must be >= 0, got {self.l}")
-        s = tuple(int(v) for v in self.s)
-        if len(s) != 3 or any(v not in (-1, 1) for v in s):
-            raise ValueError(f"configuration indices must each be -1 or +1, got {self.s!r}")
-        object.__setattr__(self, "s", s)
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Boolean feasibility verdict plus the per-axis radicand diagnostics."""
-
-    feasible: bool
-    radicands: np.ndarray
-    on_boundary: bool
-
-    def __bool__(self):
-        return self.feasible
+            v.append(f"l must be >= 0, got {self.l}")
+        if len(self.s) != 3:
+            v.append(f"s must hold three configuration indices, got {self.s!r}")
+        else:
+            for axis, value in zip(AXIS_NAMES, self.s):
+                if isinstance(value, (bool, np.bool_)) or value not in (-1, 1):
+                    v.append(f"s_{axis} must be ±1, got {value}")
+        if v:
+            raise ConfigError(v)
+        object.__setattr__(self, "s", tuple(int(value) for value in self.s))
 
 
 @dataclass(frozen=True)
 class JointPointSet:
     """Joint point coordinates for the three chains.
 
-    Row i of each array is chain i+1: ``A`` holds the slider attachment
+    For poses of shape (..., 3) each array has shape (..., 3, 3), and row i
+    of the last two axes is chain i+1: ``A`` holds the slider attachment
     points, ``B`` the points on the prismatic axes, ``C`` the distal joints
     (all equal to the platform point).
     """
@@ -77,14 +77,20 @@ class JointPointSet:
     C: np.ndarray
 
 
+# A_i = B_i + l * _SLIDER_OFFSET[i]: the attachment point sits l off the axis.
+_SLIDER_OFFSET = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+_DIAG = np.arange(3)
+
+
 def radicands(p, g: GeometryParams) -> np.ndarray:
     """Per-axis radicands L^2 - (off-axis distance)^2 guarding the IK roots.
 
-    Component i is L^2 minus the squared distance of the platform point from
-    prismatic axis i; the pose is reachable iff all three are >= 0.
+    For poses p of shape (..., 3), component i is L^2 minus the squared
+    distance of the platform point from prismatic axis i; a pose is
+    reachable iff all three are >= 0.
     """
     p = np.asarray(p, dtype=float)
-    return g.L**2 - np.sum(p**2) + p**2
+    return g.L**2 - np.sum(p**2, axis=-1, keepdims=True) + p**2
 
 
 def sqrt_radicands(p, g: GeometryParams) -> np.ndarray:
@@ -93,37 +99,40 @@ def sqrt_radicands(p, g: GeometryParams) -> np.ndarray:
     Raises
     ------
     InfeasiblePoseError
-        If any radicand is negative, naming the offending axis.
+        If any radicand of any pose is negative, naming the first offending
+        pose and its axes.
     """
     rad = radicands(p, g)
     if np.any(rad < 0.0):
-        worst = int(np.argmin(rad))
+        rows = rad.reshape(-1, 3)
+        k = int(np.argmax(np.any(rows < 0.0, axis=1)))
+        row = rows[k]
+        worst = int(np.argmin(row))
         bad = ", ".join(
-            f"{AXIS_NAMES[i]}-axis radicand = {rad[i]:.6g}" for i in range(3) if rad[i] < 0.0
+            f"{AXIS_NAMES[i]}-axis radicand = {row[i]:.6g}" for i in range(3) if row[i] < 0.0
         )
+        pose = np.asarray(p, float).reshape(-1, 3)[k]
         raise InfeasiblePoseError(
-            f"pose {np.asarray(p, float).tolist()} outside workspace: {bad}",
+            f"pose {pose.tolist()} outside workspace: {bad}",
             axis=AXIS_NAMES[worst],
-            radicand=float(rad[worst]),
+            radicand=float(row[worst]),
+            index=k if rad.ndim > 1 else None,
         )
     return np.sqrt(rad)
 
 
-def is_feasible(p, g: GeometryParams, boundary_tol: float = 1e-12) -> FeasibilityReport:
-    """Check whether a platform pose is inside the reachable workspace.
+def is_feasible(p, g: GeometryParams) -> bool:
+    """Whether every platform pose in p is inside the reachable workspace.
 
-    Poses with a vanishing radicand are feasible but flagged ``on_boundary``:
-    the inverse kinematics is still defined there while its derivative (and
-    the COM-inversion Jacobian) blows up.
+    Poses on the boundary (a vanishing radicand) are feasible: the inverse
+    kinematics is still defined there while its derivative (and the
+    COM-inversion Jacobian) blows up.
     """
-    rad = radicands(p, g)
-    feasible = bool(np.all(rad >= 0.0))
-    on_boundary = feasible and bool(np.min(rad) <= boundary_tol)
-    return FeasibilityReport(feasible=feasible, radicands=rad, on_boundary=on_boundary)
+    return bool(np.all(radicands(p, g) >= 0.0))
 
 
 def inverse_kinematics(p, g: GeometryParams) -> np.ndarray:
-    """Prismatic joint displacements rho for a platform pose p.
+    """Prismatic joint displacements rho for platform poses p of shape (..., 3).
 
     rho_i = p_i + s_i * sqrt(L^2 - (off-axis distance)^2); single-valued once
     the configuration indices are fixed.
@@ -131,41 +140,42 @@ def inverse_kinematics(p, g: GeometryParams) -> np.ndarray:
     Raises
     ------
     InfeasiblePoseError
-        If the pose is outside the workspace.
+        If any pose is outside the workspace.
     """
     p = np.asarray(p, dtype=float)
     return p + np.asarray(g.s, dtype=float) * sqrt_radicands(p, g)
 
 
 def joint_points(p, rho, g: GeometryParams, tol: float = 1e-8) -> JointPointSet:
-    """Coordinates of the joint points A_i, B_i, C_i for a consistent (p, rho).
+    """Coordinates of the joint points A_i, B_i, C_i for consistent (p, rho).
 
-    B_i sits on prismatic axis i at displacement rho_i; A_i is the slider
-    attachment offset by l from the axis; every C_i coincides with the
-    platform point.
+    p and rho have shape (..., 3).  B_i sits on prismatic axis i at
+    displacement rho_i; A_i is the slider attachment offset by l from the
+    axis; every C_i coincides with the platform point.
 
     Raises
     ------
     KinematicsError
-        If any leg length |B_i - C_i| deviates from L by more than ``tol``.
+        If any leg length |B_i - C_i| of any pose deviates from L by more
+        than ``tol``.
     """
     p = np.asarray(p, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    l = g.l
-    B = np.diag(rho)
-    A = np.array([
-        [rho[0] + l, 0.0, l],
-        [l, rho[1] + l, 0.0],
-        [0.0, l, rho[2] + l],
-    ])
-    C = np.tile(p, (3, 1))
-    leg = np.linalg.norm(B - C, axis=1)
+    B = np.zeros(rho.shape + (3,))
+    B[..., _DIAG, _DIAG] = rho
+    A = B + g.l * _SLIDER_OFFSET
+    C = np.broadcast_to(p[..., None, :], B.shape)
+    leg = np.linalg.norm(B - C, axis=-1)
     err = np.abs(leg - g.L)
     if np.any(err > tol):
-        i = int(np.argmax(err))
+        rows, legs = err.reshape(-1, 3), leg.reshape(-1, 3)
+        k = int(np.argmax(np.any(rows > tol, axis=1)))
+        i = int(np.argmax(rows[k]))
+        where = f"pose {k}: " if err.ndim > 1 else ""
         raise KinematicsError(
-            f"chain {i + 1} leg length {leg[i]:.12g} m deviates from L = {g.L:.12g} m "
-            f"by {err[i]:.3g} m (tolerance {tol:.1g}); (p, rho) inconsistent"
+            f"{where}chain {i + 1} leg length {legs[k, i]:.12g} m deviates from "
+            f"L = {g.L:.12g} m by {rows[k, i]:.3g} m (tolerance {tol:.1g}); "
+            "(p, rho) inconsistent"
         )
     return JointPointSet(A=A, B=B, C=C)
 

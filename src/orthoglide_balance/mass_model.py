@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .geometry import GeometryParams, joint_points, sqrt_radicands
 
 
@@ -22,6 +23,9 @@ class MassParams:
     m1: one parallelogram assembly, m2: one input link (slider body A-B),
     m3: the platform.  The total moving mass is derived, never stored, so the
     bookkeeping cannot drift: total = 3*(m1 + m2) + m3.
+
+    Raises ConfigError listing every violated rule, each prefixed by its
+    field name.
     """
 
     m1: float
@@ -29,12 +33,15 @@ class MassParams:
     m3: float
 
     def __post_init__(self):
+        v = []
         for name in ("m1", "m2", "m3"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
-                raise ValueError(f"mass {name} must be >= 0, got {v}")
-        if not self.total > 0:
-            raise ValueError("total moving mass must be > 0")
+            m = getattr(self, name)
+            if not (np.isfinite(m) and m >= 0):
+                v.append(f"{name} must be >= 0, got {m}")
+        if not v and not self.total > 0:
+            v.append("total moving mass must be > 0")
+        if v:
+            raise ConfigError(v)
 
     @property
     def total(self) -> float:
@@ -46,21 +53,21 @@ class LumpedPointSet:
     """Seven (position, mass) pairs: 3 parallelogram midpoints with mass m1,
     3 input-link midpoints with mass m2, the platform point with mass m3."""
 
-    positions: np.ndarray  # (7, 3)
+    positions: np.ndarray  # (..., 7, 3)
     masses: np.ndarray     # (7,)
 
 
 def lumped_points(p, rho, g: GeometryParams, mp: MassParams) -> LumpedPointSet:
-    """Lumped point masses for a kinematically consistent (p, rho).
+    """Lumped point masses for kinematically consistent (p, rho) of shape (..., 3).
 
     Propagates the leg-length consistency error from the joint-point table.
     """
     pts = joint_points(p, rho, g)
-    positions = np.vstack([
+    positions = np.concatenate([
         0.5 * (pts.B + pts.C),     # parallelogram midpoints, chains 1..3
         0.5 * (pts.A + pts.B),     # input-link midpoints, chains 1..3
-        np.asarray(p, dtype=float)[None, :],
-    ])
+        np.asarray(p, dtype=float)[..., None, :],
+    ], axis=-2)
     masses = np.array([mp.m1] * 3 + [mp.m2] * 3 + [mp.m3])
     return LumpedPointSet(positions=positions, masses=masses)
 
@@ -85,7 +92,7 @@ def com_closed_form(p, rho, g: GeometryParams, mp: MassParams) -> np.ndarray:
 
 
 def com_of_pose(p, g: GeometryParams, mp: MassParams) -> np.ndarray:
-    """COM as a function of the platform pose alone.
+    """COM as a function of the platform pose alone, for poses of shape (..., 3).
 
     The joint displacements are eliminated through the inverse kinematics:
     S = [s*(m1/2 + m2)*sqrt(radicands) + (2m1 + m2 + m3)*p + m2*l] / total.
@@ -94,7 +101,7 @@ def com_of_pose(p, g: GeometryParams, mp: MassParams) -> np.ndarray:
     Raises
     ------
     InfeasiblePoseError
-        If the pose is outside the workspace.
+        If any pose is outside the workspace.
     """
     p = np.asarray(p, dtype=float)
     sq = sqrt_radicands(p, g)
@@ -105,7 +112,8 @@ def com_of_pose(p, g: GeometryParams, mp: MassParams) -> np.ndarray:
 
 
 def com_pose_jacobian(p, g: GeometryParams, mp: MassParams) -> np.ndarray:
-    """Analytic 3x3 Jacobian dS/dp of com_of_pose.
+    """Analytic 3x3 Jacobian dS/dp of com_of_pose; shape (..., 3, 3) for
+    poses of shape (..., 3).
 
     Diagonal entries are (2m1 + m2 + m3)/total; off-diagonal entries are
     -s_i*(m1/2 + m2)*p_j / (total*sqrt(radicand_i)).  Singular on the
@@ -117,6 +125,6 @@ def com_pose_jacobian(p, g: GeometryParams, mp: MassParams) -> np.ndarray:
     a = (2.0 * mp.m1 + mp.m2 + mp.m3) / mp.total
     b = (mp.m1 / 2.0 + mp.m2) / mp.total
     with np.errstate(divide="ignore", invalid="ignore"):
-        off = -b * s[:, None] * p[None, :] / sq[:, None]
+        off = -b * s[:, None] * p[..., None, :] / sq[..., :, None]
     J = np.where(np.eye(3, dtype=bool), a, off)
     return J

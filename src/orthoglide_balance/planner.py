@@ -7,15 +7,14 @@ waypoint is mapped back to a platform pose by Newton inversion of the
 closed-form COM model, so the platform path comes out implicitly curved.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasiblePoseError, PlanningError, SolverError
-from .geometry import GeometryParams, inverse_kinematics, is_feasible
+from .errors import ConfigError, InfeasiblePoseError, PlanningError, SolverError
+from .geometry import GeometryParams, inverse_kinematics, is_feasible, radicands
 from .mass_model import MassParams, com_of_pose, com_pose_jacobian
-from .profiles import BANG_BANG, QUINTIC, SCALAR_LAWS
+from .profiles import BANG_BANG, QUINTIC, bang_bang_scalar, quintic_scalar
 
 MODE_PLATFORM_LINE = "platform_line_quintic"
 MODE_COM_LINE = "com_line_bangbang"
@@ -30,8 +29,8 @@ _MAX_CONDITION = 1e12
 class PlanRequest:
     """A full planning problem: endpoints, timing, mode and mechanism data.
 
-    dt must satisfy 0 < dt <= t_f/100 (at least 100 samples) and both
-    endpoint poses must be feasible.
+    Raises ConfigError listing every violated rule (see ``violations``) plus
+    an unknown ``mode``.
     """
 
     p_i: np.ndarray
@@ -43,27 +42,49 @@ class PlanRequest:
     masses: MassParams
 
     def __post_init__(self):
-        p_i = np.asarray(self.p_i, dtype=float)
-        p_f = np.asarray(self.p_f, dtype=float)
-        if p_i.shape != (3,) or p_f.shape != (3,):
-            raise ValueError("endpoint poses must be 3-vectors")
-        object.__setattr__(self, "p_i", p_i)
-        object.__setattr__(self, "p_f", p_f)
-        if not (np.isfinite(self.t_f) and self.t_f > 0):
-            raise ValueError(f"duration t_f must be > 0, got {self.t_f}")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"time step dt must be > 0, got {self.dt}")
-        if self.dt > self.t_f / 100.0 * (1.0 + 1e-12):
-            raise ValueError(
-                f"dt = {self.dt} too large: need at least 100 samples over t_f = {self.t_f}")
+        v = self.violations(self.p_i, self.p_f, self.t_f, self.dt, self.geometry)
         if self.mode not in PLAN_MODES:
-            raise ValueError(f"unknown planning mode {self.mode!r}; expected one of {PLAN_MODES}")
+            v.append(f"unknown planning mode {self.mode!r}; expected one of {PLAN_MODES}")
+        if v:
+            raise ConfigError(v)
+        object.__setattr__(self, "p_i", np.asarray(self.p_i, dtype=float))
+        object.__setattr__(self, "p_f", np.asarray(self.p_f, dtype=float))
+
+    @staticmethod
+    def violations(p_i, p_f, t_f, dt, geometry) -> list:
+        """Violated rules of the endpoint and timing fields, each prefixed by
+        its field name.
+
+        Endpoints must be finite 3-vectors inside the workspace of
+        ``geometry`` (not judged when ``geometry`` is None).  t_f and dt must
+        be > 0, dt at most t_f/100 (at least 100 samples), and the steps of
+        ``time_grid(t_f, dt)`` must be equal as ``uniform_dt`` requires.
+        """
+        v = []
         for name, p in (("p_i", p_i), ("p_f", p_f)):
-            rep = is_feasible(p, self.geometry)
-            if not rep.feasible:
-                raise InfeasiblePoseError(
-                    f"endpoint {name} = {p.tolist()} is outside the workspace",
-                    axis=None, radicand=float(np.min(rep.radicands)))
+            try:
+                arr = np.asarray(p, dtype=float)
+            except (TypeError, ValueError):
+                arr = None
+            if arr is None or arr.shape != (3,) or not np.all(np.isfinite(arr)):
+                v.append(f"{name} must be a finite 3-vector, got {p!r}")
+            elif geometry is not None and not is_feasible(arr, geometry):
+                v.append(f"{name} = {arr.tolist()} is outside the workspace "
+                         f"(min radicand {np.min(radicands(arr, geometry)):.6g} m²)")
+        t_ok = bool(np.isfinite(t_f) and t_f > 0)
+        if not t_ok:
+            v.append(f"t_f must be > 0, got {t_f}")
+        if not (np.isfinite(dt) and dt > 0):
+            v.append(f"dt must be > 0, got {dt}")
+        elif t_ok and dt > t_f / 100.0 * (1.0 + 1e-12):
+            v.append(f"dt too large: need ≥ 100 samples, got dt = {dt} for t_f = {t_f}")
+        elif t_ok:
+            # time_grid's first step is dt and its last is t_f - (n-1)*dt; the
+            # steps between equal dt to rounding.
+            n = round(t_f / dt)
+            if not _equal_steps([dt, t_f - (n - 1) * dt], t_f / n):
+                v.append(f"dt = {dt} does not split t_f = {t_f} into equal steps")
+        return v
 
 
 @dataclass(frozen=True)
@@ -97,23 +118,34 @@ class Trajectory:
 
 
 def time_grid(t_f: float, dt: float) -> np.ndarray:
-    """Uniform grid over [0, t_f] including both endpoints.
+    """Grid of round(t_f/dt) steps of dt over [0, t_f], both endpoints included.
 
-    t_f/dt need not be an integer; a final partial step is clamped to t_f
-    (which leaves the last interval shorter than dt).
+    The last sample is pinned to t_f; PlanRequest only accepts (t_f, dt)
+    whose grid ``uniform_dt`` accepts.
     """
-    n = int(math.floor(t_f / dt + 1e-9))
+    n = round(t_f / dt)
     t = dt * np.arange(n + 1)
-    if t[-1] < t_f * (1.0 - 1e-12):
-        t = np.append(t, t_f)
-    else:
-        t[-1] = t_f
+    t[-1] = t_f
     return t
 
 
+def _equal_steps(steps, dt) -> bool:
+    return bool(np.allclose(steps, dt, rtol=1e-6, atol=1e-12))
+
+
+def uniform_dt(t: np.ndarray) -> float:
+    """Return the grid step, rejecting non-uniform time grids."""
+    t = np.asarray(t, dtype=float)
+    if len(t) < 2:
+        raise ValueError("need at least two samples")
+    dt = (t[-1] - t[0]) / (len(t) - 1)
+    if not _equal_steps(np.diff(t), dt):
+        raise ValueError("non-uniform time grid; dynamics needs equally spaced samples")
+    return float(dt)
+
+
 def solve_com_waypoint(S_target, guess, g: GeometryParams, mp: MassParams,
-                       tol: float = COM_SOLVE_TOL, max_iter: int = 50,
-                       full_output: bool = False):
+                       tol: float = COM_SOLVE_TOL, max_iter: int = 50):
     """Platform pose whose moving-link COM equals ``S_target``.
 
     Damped Newton iteration on the closed-form COM model with its analytic
@@ -129,9 +161,10 @@ def solve_com_waypoint(S_target, guess, g: GeometryParams, mp: MassParams,
         Feasible starting pose selecting the solution branch.
     tol : float
         Convergence threshold on the max-norm COM residual, meters.
-    full_output : bool
-        When true, return ``(pose, iterations, residual)`` instead of the
-        pose alone.
+
+    Returns
+    -------
+    (pose, iterations, residual)
 
     Raises
     ------
@@ -162,7 +195,7 @@ def solve_com_waypoint(S_target, guess, g: GeometryParams, mp: MassParams,
         accepted = False
         for _ in range(9):  # full step plus up to 8 halvings
             cand = p + scale * step
-            if is_feasible(cand, g).feasible:
+            if is_feasible(cand, g):
                 fc = com_of_pose(cand, g, mp) - S_target
                 rc = float(np.max(np.abs(fc)))
                 if rc < res or rc <= tol:
@@ -176,9 +209,7 @@ def solve_com_waypoint(S_target, guess, g: GeometryParams, mp: MassParams,
                 residual=res, iterations=iters)
         p, f, res = cand, fc, rc
         iters += 1
-    if full_output:
-        return p, iters, res
-    return p
+    return p, iters, res
 
 
 def plan_platform_line(req: PlanRequest) -> Trajectory:
@@ -189,33 +220,28 @@ def plan_platform_line(req: PlanRequest) -> Trajectory:
     if req.mode != MODE_PLATFORM_LINE:
         raise ValueError(f"plan_platform_line requires mode {MODE_PLATFORM_LINE!r}, got {req.mode!r}")
     t = time_grid(req.t_f, req.dt)
-    sigma, _, _ = SCALAR_LAWS[QUINTIC](t, req.t_f)
-    dp = req.p_f - req.p_i
-    platform = req.p_i[None, :] + np.multiply.outer(sigma, dp)
+    sigma, _, _ = quintic_scalar(t, req.t_f)
+    platform = req.p_i[None, :] + np.multiply.outer(sigma, req.p_f - req.p_i)
     platform[0] = req.p_i
     platform[-1] = req.p_f
-    joints = np.empty_like(platform)
-    com = np.empty_like(platform)
-    for k in range(len(t)):
-        try:
-            joints[k] = inverse_kinematics(platform[k], req.geometry)
-            com[k] = com_of_pose(platform[k], req.geometry, req.masses)
-        except InfeasiblePoseError as exc:
-            raise PlanningError(
-                f"platform-line plan hit an infeasible pose at t = {t[k]:.6g} s: {exc}",
-                mode=req.mode, t=float(t[k])) from exc
+    try:
+        joints = inverse_kinematics(platform, req.geometry)
+    except InfeasiblePoseError as exc:
+        k = exc.index
+        raise PlanningError(
+            f"platform-line plan hit an infeasible pose at t = {t[k]:.6g} s: {exc}",
+            mode=req.mode, t=float(t[k])) from exc
+    com = com_of_pose(platform, req.geometry, req.masses)
     return Trajectory(mode=req.mode, profile=QUINTIC, t=t,
                       platform=platform, joints=joints, com=com)
 
 
-def plan_com_line(req: PlanRequest, profile: str = BANG_BANG) -> Trajectory:
-    """Strategy 2: COM on a straight line, bang-bang profile by default.
+def plan_com_line(req: PlanRequest) -> Trajectory:
+    """Strategy 2: COM on a straight line under the bang-bang profile.
 
     Each commanded COM waypoint is inverted to a platform pose by Newton
     iteration warm-started from the previous sample; the endpoint samples are
-    pinned to the requested poses (the solve is a fixed point there).  The
-    ``profile`` keyword exists so the same machinery can drive the COM line
-    under the quintic law for comparison studies.
+    pinned to the requested poses (the solve is a fixed point there).
 
     Raises PlanningError with the failing time if any waypoint cannot be
     inverted (non-convergence or workspace-boundary singularity).
@@ -225,30 +251,18 @@ def plan_com_line(req: PlanRequest, profile: str = BANG_BANG) -> Trajectory:
     g, mp = req.geometry, req.masses
     S_i = com_of_pose(req.p_i, g, mp)
     S_f = com_of_pose(req.p_f, g, mp)
-    D = S_f - S_i
     t = time_grid(req.t_f, req.dt)
-    sigma, _, _ = SCALAR_LAWS[profile](t, req.t_f)
-    n = len(t)
-    platform = np.empty((n, 3))
-    joints = np.empty((n, 3))
-    com = np.empty((n, 3))
-    p_prev = req.p_i
-    for k in range(n):
-        if k == 0:
-            p = req.p_i
-        elif k == n - 1:
-            p = req.p_f
-        else:
-            S_cmd = S_i + sigma[k] * D
-            try:
-                p = solve_com_waypoint(S_cmd, p_prev, g, mp)
-            except (SolverError, InfeasiblePoseError) as exc:
-                raise PlanningError(
-                    f"COM-line plan failed at t = {t[k]:.6g} s: {exc}",
-                    mode=req.mode, t=float(t[k])) from exc
-        platform[k] = p
-        joints[k] = inverse_kinematics(p, g)
-        com[k] = com_of_pose(p, g, mp)
-        p_prev = p
-    return Trajectory(mode=req.mode, profile=profile, t=t,
-                      platform=platform, joints=joints, com=com)
+    sigma, _, _ = bang_bang_scalar(t, req.t_f)
+    S_cmd = S_i + np.multiply.outer(sigma, S_f - S_i)
+    platform = np.empty((len(t), 3))
+    platform[0] = req.p_i
+    platform[-1] = req.p_f
+    for k in range(1, len(t) - 1):
+        try:
+            platform[k], _, _ = solve_com_waypoint(S_cmd[k], platform[k - 1], g, mp)
+        except (SolverError, InfeasiblePoseError) as exc:
+            raise PlanningError(
+                f"COM-line plan failed at t = {t[k]:.6g} s: {exc}",
+                mode=req.mode, t=float(t[k])) from exc
+    return Trajectory(mode=req.mode, profile=BANG_BANG, t=t, platform=platform,
+                      joints=inverse_kinematics(platform, g), com=com_of_pose(platform, g, mp))

@@ -1,4 +1,4 @@
-"""Rest-to-rest motion profile laws and straight-line trajectory evaluation.
+"""Rest-to-rest motion profile laws and their peak accelerations.
 
 Both laws are normalized: sigma(0) = 0, sigma(t_f) = 1, zero end velocities.
 The bang-bang law has piecewise-constant acceleration +-4/t_f^2 (the lower
@@ -30,24 +30,6 @@ class ProfileSpec:
             raise ValueError(f"duration t_f must be > 0, got {self.t_f}")
 
 
-@dataclass(frozen=True)
-class LineSegment3:
-    """A straight segment: start point and displacement vector, in meters."""
-
-    start: np.ndarray
-    displacement: np.ndarray
-
-    def __post_init__(self):
-        start = np.asarray(self.start, dtype=float)
-        disp = np.asarray(self.displacement, dtype=float)
-        if start.shape != (3,) or disp.shape != (3,):
-            raise ValueError("start and displacement must be 3-vectors")
-        if not (np.all(np.isfinite(start)) and np.all(np.isfinite(disp))):
-            raise ValueError("start and displacement must be finite")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "displacement", disp)
-
-
 def _check_time(t, t_f):
     if not (np.isfinite(t_f) and t_f > 0):
         raise ValueError(f"duration t_f must be > 0, got {t_f}")
@@ -57,27 +39,21 @@ def _check_time(t, t_f):
     return t
 
 
-def bang_bang_scalar(t, t_f, switch="left"):
+def bang_bang_scalar(t, t_f):
     """Normalized bang-bang position and its first two time derivatives.
 
     Accelerates at +4/t_f^2 on [0, t_f/2], decelerates at -4/t_f^2 on
     [t_f/2, t_f].  At exactly t = t_f/2 the acceleration is discontinuous;
-    the left limit +4/t_f^2 is returned by default, or 0 with
-    ``switch="average"``.  Accepts scalar or array ``t``.
+    the left limit +4/t_f^2 is returned.  Accepts scalar or array ``t``.
 
     Returns (sigma, dsigma_dt, d2sigma_dt2).
     """
-    if switch not in ("left", "average"):
-        raise ValueError(f"switch must be 'left' or 'average', got {switch!r}")
     t = _check_time(t, t_f)
     tau = t / t_f
     first = tau < 0.5
-    at_switch = tau == 0.5
     sigma = np.where(first, 2.0 * tau**2, -1.0 + 4.0 * tau - 2.0 * tau**2)
     dsigma = np.where(first, 4.0 * tau, 4.0 - 4.0 * tau) / t_f
-    ddsigma = np.where(first | at_switch, 4.0, -4.0) / t_f**2
-    if switch == "average":
-        ddsigma = np.where(at_switch, 0.0, ddsigma)
+    ddsigma = np.where(tau <= 0.5, 4.0, -4.0) / t_f**2
     if np.ndim(t) == 0:
         return float(sigma), float(dsigma), float(ddsigma)
     return sigma, dsigma, ddsigma
@@ -99,25 +75,6 @@ def quintic_scalar(t, t_f):
     if np.ndim(t) == 0:
         return float(sigma), float(dsigma), float(ddsigma)
     return sigma, dsigma, ddsigma
-
-
-SCALAR_LAWS = {BANG_BANG: bang_bang_scalar, QUINTIC: quintic_scalar}
-
-
-def line_trajectory(seg: LineSegment3, spec: ProfileSpec, t):
-    """Position, velocity and acceleration on a straight segment at time t.
-
-    position = start + sigma(t) * displacement, and derivatives accordingly.
-    Scalar ``t`` yields three 3-vectors; array ``t`` of shape (n,) yields
-    three (n, 3) arrays.
-    """
-    sigma, dsigma, ddsigma = SCALAR_LAWS[spec.kind](t, spec.t_f)
-    d = seg.displacement
-    if np.ndim(sigma) == 0:
-        return seg.start + sigma * d, dsigma * d, ddsigma * d
-    return (seg.start + np.multiply.outer(sigma, d),
-            np.multiply.outer(dsigma, d),
-            np.multiply.outer(ddsigma, d))
 
 
 def peak_acceleration(spec: ProfileSpec, path_length: float) -> float:

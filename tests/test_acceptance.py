@@ -17,6 +17,7 @@ from orthoglide_balance import (
     com_of_pose,
     compare,
     default_config,
+    evaluate,
     forward_kinematics,
     inverse_kinematics,
     lumped_points,
@@ -119,7 +120,8 @@ def test_c06_com_plan_fidelity(com_plan, geometry, masses):
 
 
 def test_c07_end_to_end_comparison(platform_plan, com_plan, geometry, masses):
-    report = compare(platform_plan, com_plan, geometry, masses)
+    report = compare(evaluate(platform_plan, geometry, masses)[2],
+                     evaluate(com_plan, geometry, masses)[2])
     assert 25.0 <= report.force_reduction_pct <= 40.0
     assert report.moment_reduction_pct > 0.0
     _report(7, "end-to-end comparison",
@@ -134,8 +136,7 @@ def test_c08_solver_robustness(geometry, masses):
     for p in random_feasible_poses(1000, seed=103):
         target = com_of_pose(p, geometry, masses)
         guess = p + rng.uniform(-1.0, 1.0, 3) * 1e-3
-        _, iters, res = solve_com_waypoint(target, guess, geometry, masses,
-                                           full_output=True)
+        _, iters, res = solve_com_waypoint(target, guess, geometry, masses)
         worst_iters = max(worst_iters, iters)
         worst_res = max(worst_res, res)
     assert worst_res <= 1e-10

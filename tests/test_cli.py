@@ -63,6 +63,16 @@ class TestValidateConfig:
         v = validate_config(small_config(L=-1.0, s_y=3, dt=0.9))
         assert len(v) >= 3
 
+    def test_boolean_configuration_index_rejected(self):
+        d = small_config().to_dict()
+        d["geometry"]["s_x"] = True
+        v = validate_config(config_from_dict(d))
+        assert v == ["geometry.s_x must be ±1, got True"]
+
+    def test_off_grid_dt(self):
+        v = validate_config(small_config(dt=0.0015))
+        assert v == ["trajectory.dt = 0.0015 does not split t_f = 1.0 into equal steps"]
+
 
 class TestConfigIO:
     def test_round_trip(self, tmp_path):
@@ -183,6 +193,13 @@ class TestCliMain:
         save_config(small_config(dt=0.9), path)
         assert main(["run", "--config", str(path)]) == 1
         assert "dt too large" in capsys.readouterr().err
+
+    def test_run_off_grid_dt_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        save_config(small_config(dt=0.0015), path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "violation: trajectory.dt = 0.0015 does not split" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_run_planning_error_exit_code(self, tmp_path, capsys):
         # start pose exactly on the workspace boundary: planning must fail

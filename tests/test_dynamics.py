@@ -4,7 +4,6 @@ import pytest
 from orthoglide_balance import (
     MODE_COM_LINE,
     MODE_PLATFORM_LINE,
-    QUINTIC,
     MassParams,
     Trajectory,
     compare,
@@ -164,35 +163,21 @@ class TestSummaries:
 
 class TestCompare:
     def test_identical_trajectories(self, com_plan, geometry, masses):
-        report = compare(com_plan, com_plan, geometry, masses)
+        _, _, summary = evaluate(com_plan, geometry, masses)
+        report = compare(summary, summary)
         assert report.force_reduction_pct == 0.0
         assert report.moment_reduction_pct == 0.0
 
     def test_benchmark_reduction_band(self, platform_plan, com_plan, geometry, masses):
-        report = compare(platform_plan, com_plan, geometry, masses)
+        report = compare(evaluate(platform_plan, geometry, masses)[2],
+                         evaluate(com_plan, geometry, masses)[2])
         assert 25.0 <= report.force_reduction_pct <= 40.0
         assert report.moment_reduction_pct > 0.0
-
-    def test_straight_com_lines_quintic_vs_bangbang(self, geometry, masses):
-        req = make_request(MODE_COM_LINE)
-        bang = plan_com_line(req)
-        quin = plan_com_line(req, profile=QUINTIC)
-        report = compare(quin, bang, geometry, masses)
-        assert report.force_reduction_pct == pytest.approx(30.72, abs=0.1)
-
-    def test_mismatched_duration_rejected(self, com_plan, geometry, masses):
-        other = plan_com_line(make_request(MODE_COM_LINE, t_f=2.0, dt=0.002))
-        with pytest.raises(ValueError, match="mismatched"):
-            compare(com_plan, other, geometry, masses)
-
-    def test_mismatched_endpoints_rejected(self, com_plan, geometry, masses):
-        other = plan_com_line(make_request(MODE_COM_LINE, p_f=(-0.09, 0.07, -0.11)))
-        with pytest.raises(ValueError, match="mismatched"):
-            compare(com_plan, other, geometry, masses)
 
     def test_zero_motion_zero_reduction(self, geometry, masses):
         req = make_request(MODE_PLATFORM_LINE, p_f=P_I, dt=0.01)
         req2 = make_request(MODE_COM_LINE, p_f=P_I, dt=0.01)
-        report = compare(plan_platform_line(req), plan_com_line(req2), geometry, masses)
+        report = compare(evaluate(plan_platform_line(req), geometry, masses)[2],
+                         evaluate(plan_com_line(req2), geometry, masses)[2])
         assert report.force_reduction_pct == 0.0
         assert report.unbalanced.peak_force == 0.0

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from orthoglide_balance import (
     InfeasiblePoseError,
+    KinematicsError,
     LumpedPointSet,
     MassParams,
     com_closed_form,
@@ -179,3 +182,45 @@ class TestComPoseJacobian:
         np.testing.assert_allclose(np.diag(J), expected, rtol=1e-14)
         # at the home pose the off-diagonal terms vanish (p = 0)
         np.testing.assert_allclose(J - np.diag(np.diag(J)), 0.0, atol=1e-16)
+
+
+@pytest.mark.parametrize("s", list(itertools.product((-1, 1), repeat=3)))
+def test_batched_kernels_equal_per_row_calls(s):
+    g = make_geometry(s=s)
+    mp = make_masses()
+    P = random_feasible_poses(40, seed=50 + (s[0] + 1) * 2 + (s[1] + 1) + (s[2] + 1) // 2,
+                              box=0.6)
+    rho = inverse_kinematics(P, g)
+    pts = lumped_points(P, rho, g, mp)
+    batched = {
+        "inverse_kinematics": rho,
+        "com_of_pose": com_of_pose(P, g, mp),
+        "com_pose_jacobian": com_pose_jacobian(P, g, mp),
+        "lumped_points": pts.positions,
+    }
+    per_row = {
+        "inverse_kinematics": [inverse_kinematics(p, g) for p in P],
+        "com_of_pose": [com_of_pose(p, g, mp) for p in P],
+        "com_pose_jacobian": [com_pose_jacobian(p, g, mp) for p in P],
+        "lumped_points": [lumped_points(p, r, g, mp).positions for p, r in zip(P, rho)],
+    }
+    for name, value in batched.items():
+        assert np.array_equal(value, np.array(per_row[name])), name
+    np.testing.assert_array_equal(pts.masses, lumped_points(P[0], rho[0], g, mp).masses)
+    # leading dimensions beyond one batch axis
+    assert np.array_equal(com_of_pose(P.reshape(4, 10, 3), g, mp),
+                          batched["com_of_pose"].reshape(4, 10, 3))
+
+    # one infeasible row raises, naming that row and its axis
+    bad = P.copy()
+    bad[17] = [0.0, 0.31, 0.01]
+    for kernel in (lambda q: inverse_kinematics(q, g), lambda q: com_of_pose(q, g, mp),
+                   lambda q: com_pose_jacobian(q, g, mp)):
+        with pytest.raises(InfeasiblePoseError) as exc:
+            kernel(bad)
+        assert (exc.value.index, exc.value.axis) == (17, "x")
+    # one inconsistent (p, rho) row raises
+    rho_bad = rho.copy()
+    rho_bad[23, 1] += 1e-3
+    with pytest.raises(KinematicsError, match="pose 23: chain 2"):
+        lumped_points(P, rho_bad, g, mp)

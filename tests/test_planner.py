@@ -4,7 +4,7 @@ import pytest
 from orthoglide_balance import (
     MODE_COM_LINE,
     MODE_PLATFORM_LINE,
-    QUINTIC,
+    ConfigError,
     InfeasiblePoseError,
     PlanningError,
     PlanRequest,
@@ -14,9 +14,12 @@ from orthoglide_balance import (
     inverse_kinematics,
     plan_com_line,
     plan_platform_line,
+    quintic_scalar,
+    radicands,
     solve_com_waypoint,
     time_grid,
 )
+from orthoglide_balance.planner import uniform_dt
 
 from conftest import P_F, P_I, make_geometry, make_masses, make_request, random_feasible_poses
 
@@ -45,8 +48,18 @@ class TestPlanRequest:
             make_request("spline")
 
     def test_infeasible_endpoint(self):
-        with pytest.raises(InfeasiblePoseError):
+        with pytest.raises(ConfigError, match="p_f = .* outside the workspace"):
             make_request(MODE_COM_LINE, p_f=(0.0, 0.4, 0.0))
+
+    @pytest.mark.parametrize("t_f,dt", [(1.0, 0.0015), (1.0, 0.003), (0.7, 0.0015)])
+    def test_off_grid_dt_rejected(self, t_f, dt):
+        with pytest.raises(ConfigError, match="equal steps"):
+            make_request(MODE_COM_LINE, t_f=t_f, dt=dt)
+
+    def test_violations_reported_together(self):
+        with pytest.raises(ConfigError) as exc:
+            make_request("spline", p_i=(0.0, 0.0), dt=0.5)
+        assert len(exc.value.violations) == 3
 
     def test_wrong_mode_dispatch(self):
         req = make_request(MODE_COM_LINE)
@@ -64,11 +77,24 @@ class TestTimeGrid:
         assert t[0] == 0.0 and t[-1] == 1.0
         np.testing.assert_allclose(np.diff(t), 0.001, rtol=1e-9)
 
-    def test_partial_final_step_clamped(self):
-        t = time_grid(1.0, 0.003)
-        assert t[-1] == 1.0
-        assert t[-2] == pytest.approx(0.999, abs=1e-12)
-        assert np.all(np.diff(t) > 0)
+    def test_grid_rule_matches_uniform_dt(self):
+        # PlanRequest accepts (t_f, dt) exactly when uniform_dt accepts the
+        # full grid, whose samples are then k*dt up to the pinned t_f
+        rng = np.random.default_rng(41)
+        for t_f in rng.uniform(0.5, 2.0, 100):
+            n = rng.integers(100, 2000)
+            for dt in (1e-3, 1.5e-3, t_f / n, t_f / n * (1 + 1e-9), t_f / n * (1 - 1e-7),
+                       t_f / n * (1 + 1e-5), t_f / (n + 0.5)):
+                t = time_grid(t_f, dt)
+                try:
+                    uniform_dt(t)
+                    grid_ok = True
+                except ValueError:
+                    grid_ok = False
+                v = PlanRequest.violations(P_I, P_F, t_f, dt, make_geometry())
+                assert (v == []) == grid_ok, (t_f, dt, v)
+                assert t[-1] == t_f
+                np.testing.assert_array_equal(t[:-1], dt * np.arange(len(t) - 1))
 
     def test_exact_two_samples_not_duplicated(self):
         t = time_grid(1.0, 0.01)
@@ -101,6 +127,19 @@ class TestPlanPlatformLine:
         np.testing.assert_array_equal(traj.platform, np.tile(P_I, (len(traj), 1)))
         assert np.abs(np.diff(traj.com, axis=0)).max() == 0.0
 
+    def test_infeasible_sample_names_time(self):
+        # an endpoint outside the workspace, past PlanRequest's check: the
+        # error names the first sample whose pose is infeasible
+        req = make_request(MODE_PLATFORM_LINE, dt=0.01)
+        object.__setattr__(req, "p_f", np.array([0.0, 0.62, 0.0]))
+        with pytest.raises(PlanningError) as exc:
+            plan_platform_line(req)
+        t = time_grid(req.t_f, req.dt)
+        platform = np.multiply.outer(quintic_scalar(t, req.t_f)[0], req.p_f)
+        first = t[np.argmax(np.any(radicands(platform, req.geometry) < 0, axis=1))]
+        assert exc.value.t == first
+        assert f"t = {first:.6g} s" in str(exc.value)
+
     def test_per_sample_consistency(self, platform_plan, geometry, masses):
         for k in range(0, len(platform_plan), 97):
             np.testing.assert_allclose(
@@ -114,7 +153,7 @@ class TestPlanPlatformLine:
 class TestSolveComWaypoint:
     def test_home_fixed_point(self, geometry, masses):
         S = com_of_pose([0.0, 0.0, 0.0], geometry, masses)
-        p = solve_com_waypoint(S, [0.003, -0.002, 0.001], geometry, masses)
+        p, _, _ = solve_com_waypoint(S, [0.003, -0.002, 0.001], geometry, masses)
         np.testing.assert_allclose(p, [0.0, 0.0, 0.0], atol=1e-9)
 
     def test_self_inversion(self, geometry, masses):
@@ -122,8 +161,7 @@ class TestSolveComWaypoint:
         for p in random_feasible_poses(200, seed=31):
             S = com_of_pose(p, geometry, masses)
             guess = p + rng.uniform(-1e-3, 1e-3, 3)
-            sol, iters, res = solve_com_waypoint(S, guess, geometry, masses,
-                                                 full_output=True)
+            sol, iters, res = solve_com_waypoint(S, guess, geometry, masses)
             assert res <= 1e-10
             assert iters <= 10
             np.testing.assert_allclose(sol, p, atol=1e-9)
@@ -131,7 +169,7 @@ class TestSolveComWaypoint:
     def test_exact_guess_is_fixed_point(self, geometry, masses):
         p = np.array([0.02, 0.05, -0.04])
         S = com_of_pose(p, geometry, masses)
-        sol, iters, res = solve_com_waypoint(S, p, geometry, masses, full_output=True)
+        sol, iters, res = solve_com_waypoint(S, p, geometry, masses)
         assert iters == 0
         np.testing.assert_array_equal(sol, p)
 
@@ -211,20 +249,9 @@ class TestPlanComLine:
             tau = traj.t[k]
             sigma = 2 * tau**2 if tau < 0.5 else -1 + 4 * tau - 2 * tau**2
             _, iters, _ = solve_com_waypoint(S_i + sigma * D, traj.platform[k - 1],
-                                             geometry, masses, full_output=True)
+                                             geometry, masses)
             worst = max(worst, iters)
         assert worst <= 10
-
-    def test_quintic_profile_variant(self, geometry, masses):
-        req = make_request(MODE_COM_LINE, dt=0.01)
-        traj = plan_com_line(req, profile=QUINTIC)
-        assert traj.profile == QUINTIC
-        np.testing.assert_array_equal(traj.platform[0], P_I)
-        np.testing.assert_array_equal(traj.platform[-1], P_F)
-        k = len(traj) // 2
-        S_i = com_of_pose(P_I, geometry, masses)
-        S_f = com_of_pose(P_F, geometry, masses)
-        np.testing.assert_allclose(traj.com[k], 0.5 * (S_i + S_f), atol=1e-9)
 
     def test_boundary_start_raises_planning_error(self):
         req = make_request(MODE_COM_LINE, p_i=(0.0, 0.31, 0.0), p_f=(0.0, 0.0, 0.0))
