@@ -23,12 +23,18 @@ class KinematicsError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Newton iteration failed; carries the final residual and iteration count."""
+    """Newton iteration failed; carries the final residual and iteration count.
 
-    def __init__(self, message, residual=None, iterations=None):
+    For a batch of problems, ``index`` is the row of the first failing one
+    (counted over the flattened leading dimensions); it is None for a
+    single problem.
+    """
+
+    def __init__(self, message, residual=None, iterations=None, index=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+        self.index = index
 
 
 class PlanningError(RuntimeError):

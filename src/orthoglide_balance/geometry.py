@@ -16,6 +16,12 @@ import numpy as np
 from .errors import ConfigError, InfeasiblePoseError, KinematicsError, SolverError
 
 AXIS_NAMES = ("x", "y", "z")
+# Largest leg-length error |B_i C_i| - L accepted by joint_points, in meters.
+_LEG_TOL = 1e-8
+# forward_kinematics stops once an accepted Newton step is at most _FK_TOL
+# meters, and gives up after _FK_MAX_ITER steps.
+_FK_TOL = 1e-10
+_FK_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -146,7 +152,7 @@ def inverse_kinematics(p, g: GeometryParams) -> np.ndarray:
     return p + np.asarray(g.s, dtype=float) * sqrt_radicands(p, g)
 
 
-def joint_points(p, rho, g: GeometryParams, tol: float = 1e-8) -> JointPointSet:
+def joint_points(p, rho, g: GeometryParams) -> JointPointSet:
     """Coordinates of the joint points A_i, B_i, C_i for consistent (p, rho).
 
     p and rho have shape (..., 3).  B_i sits on prismatic axis i at
@@ -157,7 +163,7 @@ def joint_points(p, rho, g: GeometryParams, tol: float = 1e-8) -> JointPointSet:
     ------
     KinematicsError
         If any leg length |B_i - C_i| of any pose deviates from L by more
-        than ``tol``.
+        than ``_LEG_TOL``.
     """
     p = np.asarray(p, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -167,14 +173,14 @@ def joint_points(p, rho, g: GeometryParams, tol: float = 1e-8) -> JointPointSet:
     C = np.broadcast_to(p[..., None, :], B.shape)
     leg = np.linalg.norm(B - C, axis=-1)
     err = np.abs(leg - g.L)
-    if np.any(err > tol):
+    if np.any(err > _LEG_TOL):
         rows, legs = err.reshape(-1, 3), leg.reshape(-1, 3)
-        k = int(np.argmax(np.any(rows > tol, axis=1)))
+        k = int(np.argmax(np.any(rows > _LEG_TOL, axis=1)))
         i = int(np.argmax(rows[k]))
         where = f"pose {k}: " if err.ndim > 1 else ""
         raise KinematicsError(
             f"{where}chain {i + 1} leg length {legs[k, i]:.12g} m deviates from "
-            f"L = {g.L:.12g} m by {rows[k, i]:.3g} m (tolerance {tol:.1g}); "
+            f"L = {g.L:.12g} m by {rows[k, i]:.3g} m (tolerance {_LEG_TOL:.1g}); "
             "(p, rho) inconsistent"
         )
     return JointPointSet(A=A, B=B, C=C)
@@ -186,14 +192,13 @@ def _sphere_residuals(p, rho, L):
     return np.sum(d * d, axis=1) - L**2
 
 
-def forward_kinematics(rho, g: GeometryParams, guess, tol: float = 1e-10,
-                       max_iter: int = 50) -> np.ndarray:
+def forward_kinematics(rho, g: GeometryParams, guess) -> np.ndarray:
     """Platform pose for given joint displacements, near a supplied guess.
 
     Solves the three sphere constraints |p - B_i| = L by damped Newton
     iteration with the analytic 3x3 Jacobian.  The guess selects the branch;
     after convergence the solution is checked against the configuration
-    indices.
+    indices.  Converged once an accepted step is at most ``_FK_TOL`` meters.
 
     Parameters
     ----------
@@ -201,9 +206,6 @@ def forward_kinematics(rho, g: GeometryParams, guess, tol: float = 1e-10,
         Joint displacements (rho_x, rho_y, rho_z) in meters.
     guess : array_like
         Starting pose; must be in the basin of the intended solution.
-    tol : float
-        Position residual threshold in meters: the iteration stops once the
-        accepted Newton step is no larger than this.
 
     Raises
     ------
@@ -225,16 +227,16 @@ def forward_kinematics(rho, g: GeometryParams, guess, tol: float = 1e-10,
                 f"and {j + 1} are {gap:.6g} m apart, more than 2L = {2 * g.L:.6g} m")
     # Convergence is judged on the Newton step (a position-space quantity);
     # the residual floor only short-circuits guesses that already solve the
-    # sphere system to better than any tol-sized step could.
-    f_floor = 0.02 * g.L * tol
+    # sphere system to better than any tolerance-sized step could.
+    f_floor = 0.02 * g.L * _FK_TOL
     f = _sphere_residuals(p, rho, g.L)
     res = float(np.max(np.abs(f)))
     iters = 0
     converged = res <= f_floor
     while not converged:
-        if iters >= max_iter:
+        if iters >= _FK_MAX_ITER:
             raise SolverError(
-                f"forward kinematics did not converge in {max_iter} iterations "
+                f"forward kinematics did not converge in {_FK_MAX_ITER} iterations "
                 f"(residual {res:.3g} m^2)", residual=res, iterations=iters)
         J = 2.0 * (p - np.diag(rho))
         try:
@@ -259,7 +261,7 @@ def forward_kinematics(rho, g: GeometryParams, guess, tol: float = 1e-10,
                 residual=res, iterations=iters)
         p, f, res = cand, fc, rc
         iters += 1
-        converged = res <= f_floor or float(np.max(np.abs(scale * step))) <= tol
+        converged = res <= f_floor or float(np.max(np.abs(scale * step))) <= _FK_TOL
 
     rad = radicands(p, g)
     for i in range(3):

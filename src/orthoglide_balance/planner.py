@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConfigError, InfeasiblePoseError, PlanningError, SolverError
 from .geometry import GeometryParams, inverse_kinematics, is_feasible, radicands
 from .mass_model import MassParams, com_of_pose, com_pose_jacobian
-from .profiles import BANG_BANG, QUINTIC, bang_bang_scalar, quintic_scalar
+from .profiles import bang_bang_scalar, quintic_scalar
 
 MODE_PLATFORM_LINE = "platform_line_quintic"
 MODE_COM_LINE = "com_line_bangbang"
@@ -22,7 +22,10 @@ PLAN_MODES = (MODE_PLATFORM_LINE, MODE_COM_LINE)
 
 # Newton tolerance on the COM residual, in meters.
 COM_SOLVE_TOL = 1e-10
+_MAX_ITER = 50
 _MAX_CONDITION = 1e12
+# Per-row outcome of solve_com_waypoint.
+_CONVERGED, _NOT_CONVERGED, _BOUNDARY, _STALLED = range(4)
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,6 @@ class Trajectory:
     """
 
     mode: str
-    profile: str
     t: np.ndarray         # (n,)
     platform: np.ndarray  # (n, 3)
     joints: np.ndarray    # (n, 3)
@@ -144,72 +146,99 @@ def uniform_dt(t: np.ndarray) -> float:
     return float(dt)
 
 
-def solve_com_waypoint(S_target, guess, g: GeometryParams, mp: MassParams,
-                       tol: float = COM_SOLVE_TOL, max_iter: int = 50):
-    """Platform pose whose moving-link COM equals ``S_target``.
+def solve_com_waypoint(S_target, guess, g: GeometryParams, mp: MassParams):
+    """Platform poses whose moving-link COM equals ``S_target``.
 
     Damped Newton iteration on the closed-form COM model with its analytic
-    Jacobian, starting from ``guess``.  Steps are halved (up to 8 times)
-    whenever the residual would not decrease or the iterate would leave the
-    feasible workspace.
+    Jacobian, run on every row of a batch in lockstep.  Each row starts from
+    its ``guess``; a step is halved (up to 8 times) whenever the row's
+    residual would not decrease or its iterate would leave the feasible
+    workspace.  A row stops one step after its max-norm residual first drops
+    to ``COM_SOLVE_TOL``, so it ends at roundoff (it stops where it is if the
+    Jacobian guard or the damped test rejects that step); a row whose guess
+    is exact takes no step.  A batch gives bit-for-bit the rows of per-row
+    calls.
 
     Parameters
     ----------
-    S_target : array_like
-        Commanded COM position in meters.
-    guess : array_like
-        Feasible starting pose selecting the solution branch.
-    tol : float
-        Convergence threshold on the max-norm COM residual, meters.
+    S_target : array_like, shape (..., 3)
+        Commanded COM positions in meters.
+    guess : array_like, shape (..., 3)
+        Feasible starting poses, each selecting its solution branch.
 
     Returns
     -------
     (pose, iterations, residual)
+        Per row: the pose (..., 3), the Newton steps taken and the final
+        max-norm COM residual in meters (scalars for one pose).
 
     Raises
     ------
     InfeasiblePoseError
-        If ``guess`` is outside the workspace.
+        If a guess is outside the workspace.
     SolverError
         On iteration exhaustion, an ill-conditioned Jacobian (workspace
         boundary), or a stalled damped step; unreachable targets surface as
-        one of these rather than silent extrapolation.
+        one of these rather than silent extrapolation.  Failed rows drop out
+        while the others finish, then the lowest failing row is reported
+        (``index``; None for one pose).
     """
-    S_target = np.asarray(S_target, dtype=float)
-    p = np.array(guess, dtype=float)
-    f = com_of_pose(p, g, mp) - S_target
-    res = float(np.max(np.abs(f)))
-    iters = 0
-    while res > tol:
-        if iters >= max_iter:
-            raise SolverError(
-                f"COM inversion did not converge in {max_iter} iterations "
-                f"(residual {res:.3g} m)", residual=res, iterations=iters)
-        J = com_pose_jacobian(p, g, mp)
-        if not np.all(np.isfinite(J)) or np.linalg.cond(J) > _MAX_CONDITION:
-            raise SolverError(
-                f"COM Jacobian ill-conditioned at p = {p.tolist()} "
-                "(workspace boundary)", residual=res, iterations=iters)
-        step = np.linalg.solve(J, -f)
+    S_target, guess = np.broadcast_arrays(np.asarray(S_target, dtype=float),
+                                          np.asarray(guess, dtype=float))
+    shape = guess.shape
+    f = (com_of_pose(guess, g, mp) - S_target).reshape(-1, 3)
+    S = S_target.reshape(-1, 3)
+    p = guess.reshape(-1, 3).copy()
+    res = np.max(np.abs(f), axis=-1)
+    iters = np.zeros(len(p), dtype=int)
+    failure = np.full(len(p), _CONVERGED)
+    active = res > 0.0
+    while active.any():
+        k = np.flatnonzero(active)
+        active[k] = False
+        polish = res[k] <= COM_SOLVE_TOL  # converged rows take one last step
+        spent = ~polish & (iters[k] >= _MAX_ITER)
+        failure[k[spent]] = _NOT_CONVERGED
+        k, polish = k[~spent], polish[~spent]
+        J = com_pose_jacobian(p[k], g, mp)
+        ok = np.all(np.isfinite(J), axis=(-2, -1))
+        ok[ok] = np.linalg.cond(J[ok]) <= _MAX_CONDITION
+        failure[k[~ok & ~polish]] = _BOUNDARY
+        k, polish = k[ok], polish[ok]
+        step = np.linalg.solve(J[ok], -f[k, :, None])[..., 0]
+        pending = np.ones(len(k), dtype=bool)
         scale = 1.0
-        accepted = False
         for _ in range(9):  # full step plus up to 8 halvings
-            cand = p + scale * step
-            if is_feasible(cand, g):
-                fc = com_of_pose(cand, g, mp) - S_target
-                rc = float(np.max(np.abs(fc)))
-                if rc < res or rc <= tol:
-                    accepted = True
-                    break
+            j = np.flatnonzero(pending)
+            cand = p[k[j]] + scale * step[j]
+            inside = np.all(radicands(cand, g) >= 0.0, axis=-1)
+            j, cand = j[inside], cand[inside]
+            fc = com_of_pose(cand, g, mp) - S[k[j]]
+            rc = np.max(np.abs(fc), axis=-1)
+            take = (rc < res[k[j]]) | (rc <= COM_SOLVE_TOL)
+            rows = k[j[take]]
+            p[rows], f[rows], res[rows] = cand[take], fc[take], rc[take]
+            pending[j[take]] = False
+            if not pending.any():
+                break
             scale *= 0.5
-        if not accepted:
-            raise SolverError(
-                f"COM inversion stalled at residual {res:.3g} m "
-                f"(target {S_target.tolist()} may be unreachable)",
-                residual=res, iterations=iters)
-        p, f, res = cand, fc, rc
-        iters += 1
-    return p, iters, res
+        iters[k[~pending]] += 1
+        failure[k[pending & ~polish]] = _STALLED
+        active[k[~pending & ~polish]] = True
+    failed = np.flatnonzero(failure != _CONVERGED)
+    if len(failed):
+        i = failed[0]
+        message = {
+            _NOT_CONVERGED: f"COM inversion did not converge in {_MAX_ITER} iterations "
+                            f"(residual {res[i]:.3g} m)",
+            _BOUNDARY: f"COM Jacobian ill-conditioned at p = {p[i].tolist()} "
+                       "(workspace boundary)",
+            _STALLED: f"COM inversion stalled at residual {res[i]:.3g} m "
+                      f"(target {S[i].tolist()} may be unreachable)",
+        }[failure[i]]
+        raise SolverError(message, residual=float(res[i]), iterations=int(iters[i]),
+                          index=int(i) if len(shape) > 1 else None)
+    return p.reshape(shape), iters.reshape(shape[:-1])[()], res.reshape(shape[:-1])[()]
 
 
 def plan_platform_line(req: PlanRequest) -> Trajectory:
@@ -232,19 +261,20 @@ def plan_platform_line(req: PlanRequest) -> Trajectory:
             f"platform-line plan hit an infeasible pose at t = {t[k]:.6g} s: {exc}",
             mode=req.mode, t=float(t[k])) from exc
     com = com_of_pose(platform, req.geometry, req.masses)
-    return Trajectory(mode=req.mode, profile=QUINTIC, t=t,
-                      platform=platform, joints=joints, com=com)
+    return Trajectory(mode=req.mode, t=t, platform=platform, joints=joints, com=com)
 
 
 def plan_com_line(req: PlanRequest) -> Trajectory:
     """Strategy 2: COM on a straight line under the bang-bang profile.
 
-    Each commanded COM waypoint is inverted to a platform pose by Newton
-    iteration warm-started from the previous sample; the endpoint samples are
+    Every interior COM waypoint is inverted to a platform pose in one
+    batched Newton solve, each starting from the platform line under the
+    same bang-bang law.  The workspace is an intersection of three cylinders,
+    hence convex, so every such guess is feasible.  The endpoint samples are
     pinned to the requested poses (the solve is a fixed point there).
 
-    Raises PlanningError with the failing time if any waypoint cannot be
-    inverted (non-convergence or workspace-boundary singularity).
+    Raises PlanningError with the earliest failing time if any waypoint
+    cannot be inverted (non-convergence or workspace-boundary singularity).
     """
     if req.mode != MODE_COM_LINE:
         raise ValueError(f"plan_com_line requires mode {MODE_COM_LINE!r}, got {req.mode!r}")
@@ -252,17 +282,18 @@ def plan_com_line(req: PlanRequest) -> Trajectory:
     S_i = com_of_pose(req.p_i, g, mp)
     S_f = com_of_pose(req.p_f, g, mp)
     t = time_grid(req.t_f, req.dt)
-    sigma, _, _ = bang_bang_scalar(t, req.t_f)
-    S_cmd = S_i + np.multiply.outer(sigma, S_f - S_i)
+    sigma = bang_bang_scalar(t[1:-1], req.t_f)[0]
+    guess = req.p_i + np.multiply.outer(sigma, req.p_f - req.p_i)
     platform = np.empty((len(t), 3))
     platform[0] = req.p_i
     platform[-1] = req.p_f
-    for k in range(1, len(t) - 1):
-        try:
-            platform[k], _, _ = solve_com_waypoint(S_cmd[k], platform[k - 1], g, mp)
-        except (SolverError, InfeasiblePoseError) as exc:
-            raise PlanningError(
-                f"COM-line plan failed at t = {t[k]:.6g} s: {exc}",
-                mode=req.mode, t=float(t[k])) from exc
-    return Trajectory(mode=req.mode, profile=BANG_BANG, t=t, platform=platform,
+    try:
+        platform[1:-1] = solve_com_waypoint(S_i + np.multiply.outer(sigma, S_f - S_i),
+                                            guess, g, mp)[0]
+    except (SolverError, InfeasiblePoseError) as exc:
+        k = exc.index + 1
+        raise PlanningError(
+            f"COM-line plan failed at t = {t[k]:.6g} s: {exc}",
+            mode=req.mode, t=float(t[k])) from exc
+    return Trajectory(mode=req.mode, t=t, platform=platform,
                       joints=inverse_kinematics(platform, g), com=com_of_pose(platform, g, mp))

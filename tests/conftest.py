@@ -20,6 +20,10 @@ P_I = (0.0, 0.0, 0.0)
 P_F = (-0.1, 0.07, -0.11)
 T_F = 1.0
 DT = 0.001
+# Valid endpoints on branch s = (1, 1, -1) whose straight COM line leaves
+# the reachable set between t = 0.625 s and 0.63 s (t_f = 1 s).
+UNREACHABLE_P_I = (-0.1935, -0.1671, -0.0182)
+UNREACHABLE_P_F = (-0.2173, -0.2106, 0.216)
 
 
 def make_geometry(**kw):

@@ -16,6 +16,8 @@ from orthoglide_balance.cli import CSV_HEADER, main
 
 from dataclasses import replace
 
+from conftest import UNREACHABLE_P_F, UNREACHABLE_P_I
+
 
 def small_config(**kw):
     # 101-sample variant of the default scenario keeps CLI tests fast
@@ -202,10 +204,12 @@ class TestCliMain:
         assert not (tmp_path / "o").exists()
 
     def test_run_planning_error_exit_code(self, tmp_path, capsys):
-        # start pose exactly on the workspace boundary: planning must fail
-        # with the solver diagnostics, not a validation message
+        # valid endpoints whose straight COM line leaves the reachable set:
+        # planning must fail with the solver diagnostics, not a validation
+        # message
         path = tmp_path / "cfg.json"
-        save_config(small_config(p_i=(0.0, 0.31, 0.0), modes=("com_line_bangbang",)), path)
+        save_config(small_config(s_z=-1, p_i=UNREACHABLE_P_I, p_f=UNREACHABLE_P_F,
+                                 modes=("com_line_bangbang",)), path)
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "COM-line plan failed" in capsys.readouterr().err

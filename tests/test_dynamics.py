@@ -6,6 +6,7 @@ from orthoglide_balance import (
     MODE_PLATFORM_LINE,
     MassParams,
     Trajectory,
+    com_of_pose,
     compare,
     evaluate,
     plan_com_line,
@@ -16,7 +17,7 @@ from orthoglide_balance import (
     summarize,
 )
 
-from conftest import P_F, P_I, make_geometry, make_masses, make_request
+from conftest import P_F, P_I, T_F, make_geometry, make_masses, make_request
 
 BENCH_D = 0.115771          # COM displacement magnitude of the benchmark motion
 BENCH_PEAK_FORCE = 1.314    # N, total mass * 4*|D|/t_f^2
@@ -69,8 +70,7 @@ class TestShakingForce:
     def test_nonuniform_grid_rejected(self, masses):
         t = np.array([0.0, 0.1, 0.2, 0.25, 0.3, 0.4])
         arr = np.zeros((6, 3))
-        traj = Trajectory(mode=MODE_COM_LINE, profile="bang_bang", t=t,
-                          platform=arr, joints=arr, com=arr)
+        traj = Trajectory(mode=MODE_COM_LINE, t=t, platform=arr, joints=arr, com=arr)
         with pytest.raises(ValueError, match="non-uniform"):
             shaking_force_series(traj, masses)
 
@@ -130,6 +130,15 @@ class TestGridConvergence:
         p1 = np.linalg.norm(shaking_force_series(com_plan, masses).force, axis=1).max()
         p2 = np.linalg.norm(shaking_force_series(com_plan_half_dt, masses).force, axis=1).max()
         assert abs(p2 - p1) / p1 < 0.005
+
+    @pytest.mark.parametrize("dt", [1e-3, 1e-4, 1e-5])
+    def test_com_peak_force_refines_to_analytic(self, dt, geometry, masses):
+        # the FD peak force of the COM line stays on M*4|D|/t_f^2 as the
+        # grid is refined, rather than drifting with the solver residual
+        traj = plan_com_line(make_request(MODE_COM_LINE, dt=dt))
+        peak = np.linalg.norm(shaking_force_series(traj, masses).force, axis=1).max()
+        D = com_of_pose(P_F, geometry, masses) - com_of_pose(P_I, geometry, masses)
+        assert peak == pytest.approx(masses.total * 4.0 * np.linalg.norm(D) / T_F**2, rel=1e-5)
 
     def test_platform_mode(self, platform_plan, platform_plan_half_dt, masses):
         p1 = np.linalg.norm(shaking_force_series(platform_plan, masses).force, axis=1).max()

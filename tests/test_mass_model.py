@@ -8,12 +8,14 @@ from orthoglide_balance import (
     KinematicsError,
     LumpedPointSet,
     MassParams,
+    SolverError,
     com_closed_form,
     com_from_points,
     com_of_pose,
     com_pose_jacobian,
     inverse_kinematics,
     lumped_points,
+    solve_com_waypoint,
 )
 
 from conftest import make_geometry, make_masses, random_feasible_poses
@@ -188,8 +190,8 @@ class TestComPoseJacobian:
 def test_batched_kernels_equal_per_row_calls(s):
     g = make_geometry(s=s)
     mp = make_masses()
-    P = random_feasible_poses(40, seed=50 + (s[0] + 1) * 2 + (s[1] + 1) + (s[2] + 1) // 2,
-                              box=0.6)
+    seed = 50 + (s[0] + 1) * 2 + (s[1] + 1) + (s[2] + 1) // 2
+    P = random_feasible_poses(40, seed=seed, box=0.6)
     rho = inverse_kinematics(P, g)
     pts = lumped_points(P, rho, g, mp)
     batched = {
@@ -207,6 +209,12 @@ def test_batched_kernels_equal_per_row_calls(s):
     for name, value in batched.items():
         assert np.array_equal(value, np.array(per_row[name])), name
     np.testing.assert_array_equal(pts.masses, lumped_points(P[0], rho[0], g, mp).masses)
+    # the Newton solve: (pose, iterations, residual) per row
+    S = batched["com_of_pose"]
+    guess = P + np.random.default_rng(seed).uniform(-1e-3, 1e-3, P.shape)
+    rows = [solve_com_waypoint(target, q, g, mp) for target, q in zip(S, guess)]
+    for got, want in zip(solve_com_waypoint(S, guess, g, mp), zip(*rows)):
+        assert np.array_equal(got, np.array(want))
     # leading dimensions beyond one batch axis
     assert np.array_equal(com_of_pose(P.reshape(4, 10, 3), g, mp),
                           batched["com_of_pose"].reshape(4, 10, 3))
@@ -219,6 +227,15 @@ def test_batched_kernels_equal_per_row_calls(s):
         with pytest.raises(InfeasiblePoseError) as exc:
             kernel(bad)
         assert (exc.value.index, exc.value.axis) == (17, "x")
+    with pytest.raises(InfeasiblePoseError) as exc:
+        solve_com_waypoint(S, bad, g, mp)
+    assert exc.value.index == 17
+    # unreachable targets fail on their own rows; the lowest one is named
+    far = S.copy()
+    far[[29, 11]] = [1.0, 0.0, 0.0]
+    with pytest.raises(SolverError) as exc:
+        solve_com_waypoint(far, guess, g, mp)
+    assert exc.value.index == 11
     # one inconsistent (p, rho) row raises
     rho_bad = rho.copy()
     rho_bad[23, 1] += 1e-3

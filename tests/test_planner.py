@@ -21,7 +21,16 @@ from orthoglide_balance import (
 )
 from orthoglide_balance.planner import uniform_dt
 
-from conftest import P_F, P_I, make_geometry, make_masses, make_request, random_feasible_poses
+from conftest import (
+    P_F,
+    P_I,
+    UNREACHABLE_P_F,
+    UNREACHABLE_P_I,
+    make_geometry,
+    make_masses,
+    make_request,
+    random_feasible_poses,
+)
 
 RHO_F = np.array([0.1812472, 0.3420294, 0.1749561])
 
@@ -253,12 +262,23 @@ class TestPlanComLine:
             worst = max(worst, iters)
         assert worst <= 10
 
-    def test_boundary_start_raises_planning_error(self):
-        req = make_request(MODE_COM_LINE, p_i=(0.0, 0.31, 0.0), p_f=(0.0, 0.0, 0.0))
+    def test_boundary_endpoint_plans_both_ways(self):
+        # an endpoint on the workspace boundary plans in either direction,
+        # and the two platform paths are one another reversed
+        edge, home = (0.0, 0.31, 0.0), (0.0, 0.0, 0.0)
+        out = plan_com_line(make_request(MODE_COM_LINE, p_i=edge, p_f=home))
+        back = plan_com_line(make_request(MODE_COM_LINE, p_i=home, p_f=edge))
+        assert np.abs(out.platform - back.platform[::-1]).max() <= 1e-12
+
+    def test_unreachable_line_names_first_failing_time(self):
+        # a straight COM line that leaves the reachable set part way: the
+        # error names the earliest sample that cannot be inverted
+        req = make_request(MODE_COM_LINE, p_i=UNREACHABLE_P_I, p_f=UNREACHABLE_P_F,
+                           geometry=make_geometry(s=(1, 1, -1)))
         with pytest.raises(PlanningError) as exc:
             plan_com_line(req)
         assert exc.value.mode == MODE_COM_LINE
-        assert exc.value.t == pytest.approx(0.001)
+        assert exc.value.t == pytest.approx(0.626)
 
 
 class TestTrajectoryType:
@@ -266,15 +286,13 @@ class TestTrajectoryType:
         t = np.array([0.0, 0.1, 0.1])
         arr = np.zeros((3, 3))
         with pytest.raises(ValueError):
-            Trajectory(mode=MODE_COM_LINE, profile="bang_bang", t=t,
-                       platform=arr, joints=arr, com=arr)
+            Trajectory(mode=MODE_COM_LINE, t=t, platform=arr, joints=arr, com=arr)
 
     def test_shape_checked(self):
         t = np.linspace(0, 1, 5)
         with pytest.raises(ValueError):
-            Trajectory(mode=MODE_COM_LINE, profile="bang_bang", t=t,
-                       platform=np.zeros((4, 3)), joints=np.zeros((5, 3)),
-                       com=np.zeros((5, 3)))
+            Trajectory(mode=MODE_COM_LINE, t=t, platform=np.zeros((4, 3)),
+                       joints=np.zeros((5, 3)), com=np.zeros((5, 3)))
 
     def test_len(self, com_plan):
         assert len(com_plan) == 1001
