@@ -8,7 +8,11 @@ Usage:
     orthoglide-balance run [--config cfg.json] [--out DIR] [--mode platform|com|both]
     orthoglide-balance validate --config cfg.json
 
-Exit codes: 0 success, 1 validation error, 2 planning/solver error.
+Exit codes: 0 success, 1 validation or I/O error, 2 planning/solver error.
+
+A reduction percentage whose unbalanced peak lies below the roundoff floor of
+its finite differences is undefined: null in summary.json, "undefined" in
+summary.txt and on stdout.
 """
 
 import argparse
@@ -67,6 +71,10 @@ def _summary_dict(cfg: ScenarioConfig, summaries: dict, report) -> dict:
     return out
 
 
+def _pct(value) -> str:
+    return "undefined" if value is None else f"{value:.4g} %"
+
+
 def _summary_text(cfg: ScenarioConfig, summaries: dict, report) -> str:
     lines = [
         "orthoglide-balance scenario summary",
@@ -83,8 +91,8 @@ def _summary_text(cfg: ScenarioConfig, summaries: dict, report) -> str:
         ]
     if report is not None:
         lines += [
-            f"shaking force reduction (peak):  {report.force_reduction_pct:.4g} %",
-            f"shaking moment reduction (peak): {report.moment_reduction_pct:.4g} %",
+            f"shaking force reduction (peak):  {_pct(report.force_reduction_pct)}",
+            f"shaking moment reduction (peak): {_pct(report.moment_reduction_pct)}",
         ]
     return "\n".join(lines) + "\n"
 
@@ -180,13 +188,16 @@ def main(argv=None) -> int:
     except (PlanningError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
 
     for mode, s in summary["modes"].items():
         print(f"{mode}: peak |Fsh| = {s['peak_force_N']:.6g} N, "
               f"peak |Msh| = {s['peak_moment_Nm']:.6g} N·m")
     if "force_reduction_pct" in summary:
-        print(f"force reduction:  {summary['force_reduction_pct']:.4g} %")
-        print(f"moment reduction: {summary['moment_reduction_pct']:.4g} %")
+        print(f"force reduction:  {_pct(summary['force_reduction_pct'])}")
+        print(f"moment reduction: {_pct(summary['moment_reduction_pct'])}")
     return 0
 
 

@@ -6,7 +6,8 @@ the sum of m_k * (r_k x a_k) about the fixed-frame origin (the intersection
 of the prismatic axes).  Rotational link inertia is deliberately omitted.
 Accelerations come from second-order finite differences of the sampled
 positions: central stencils inside, one-sided stencils at the two boundary
-samples.
+samples.  Each series carries the roundoff floor of those differences, below
+which a peak is noise.
 """
 
 from dataclasses import dataclass
@@ -17,27 +18,36 @@ from .geometry import GeometryParams
 from .mass_model import MassParams, lumped_points
 from .planner import Trajectory, uniform_dt
 
+# Roundoff gain of a finite-difference load: the stencil's coefficient sum
+# (4 inside, 12 at the ends) times a few ulps of error in each position.
+_ROUNDOFF_GAIN = 64.0
+
 
 @dataclass(frozen=True)
 class ShakingForceSeries:
-    """Per-sample COM acceleration (m/s^2) and shaking force (N)."""
+    """Per-sample COM acceleration (m/s^2) and shaking force (N), with the
+    roundoff floor of |force| (N)."""
 
     t: np.ndarray          # (n,)
     com_accel: np.ndarray  # (n, 3)
     force: np.ndarray      # (n, 3)
+    noise_floor: float
 
 
 @dataclass(frozen=True)
 class ShakingMomentSeries:
-    """Per-sample shaking moment (N*m) about the fixed-frame origin."""
+    """Per-sample shaking moment (N*m) about the fixed-frame origin, with the
+    roundoff floor of |moment| (N*m)."""
 
     t: np.ndarray       # (n,)
     moment: np.ndarray  # (n, 3)
+    noise_floor: float
 
 
 @dataclass(frozen=True)
 class ShakingSummary:
-    """Peak and RMS load magnitudes with the times of the peaks."""
+    """Peak and RMS load magnitudes with the times of the peaks, and the
+    roundoff floors of the two series."""
 
     peak_force: float
     t_peak_force: float
@@ -45,17 +55,20 @@ class ShakingSummary:
     peak_moment: float
     t_peak_moment: float
     rms_moment: float
+    force_floor: float
+    moment_floor: float
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
     """Summaries for an unbalanced/balanced pair plus reduction percentages,
-    computed as (1 - balanced/unbalanced) * 100 on the peak magnitudes."""
+    computed as (1 - balanced/unbalanced) * 100 on the peak magnitudes (None
+    where the unbalanced peak is roundoff noise, see ``reduction_pct``)."""
 
     unbalanced: ShakingSummary
     balanced: ShakingSummary
-    force_reduction_pct: float
-    moment_reduction_pct: float
+    force_reduction_pct: float | None
+    moment_reduction_pct: float | None
 
 
 def second_time_derivative(y: np.ndarray, dt: float) -> np.ndarray:
@@ -78,11 +91,22 @@ def second_time_derivative(y: np.ndarray, dt: float) -> np.ndarray:
     return acc
 
 
+def _roundoff_floor(scale, dt) -> float:
+    # error of a second difference of positions of magnitude up to `scale`
+    return float(_ROUNDOFF_GAIN * np.finfo(float).eps * scale / dt**2)
+
+
 def shaking_force_series(traj: Trajectory, mp: MassParams) -> ShakingForceSeries:
-    """Shaking force along a trajectory: total mass times COM acceleration."""
+    """Shaking force along a trajectory: total mass times COM acceleration.
+
+    Its roundoff floor is c*eps*M*max|S|/dt^2 (c = ``_ROUNDOFF_GAIN``) with
+    M the total mass and S the COM.
+    """
     dt = uniform_dt(traj.t)
     accel = second_time_derivative(traj.com, dt)
-    return ShakingForceSeries(t=traj.t, com_accel=accel, force=mp.total * accel)
+    floor = _roundoff_floor(mp.total * np.max(np.linalg.norm(traj.com, axis=1)), dt)
+    return ShakingForceSeries(t=traj.t, com_accel=accel, force=mp.total * accel,
+                              noise_floor=floor)
 
 
 def shaking_moment_series(traj: Trajectory, g: GeometryParams,
@@ -90,13 +114,17 @@ def shaking_moment_series(traj: Trajectory, g: GeometryParams,
     """Lumped-point shaking moment about the fixed-frame origin.
 
     Each of the seven lumped masses contributes m_k * (r_k x a_k), with a_k
-    finite-differenced from that point's own position series.
+    finite-differenced from that point's own position series.  Its roundoff
+    floor is c*eps*M*R^2/dt^2 (c = ``_ROUNDOFF_GAIN``) with R the largest
+    lumped-point distance from the origin.
     """
     dt = uniform_dt(traj.t)
     pts = lumped_points(traj.platform, traj.joints, g, mp)
     accels = second_time_derivative(pts.positions, dt)
     moment = np.einsum("k,nkj->nj", pts.masses, np.cross(pts.positions, accels))
-    return ShakingMomentSeries(t=traj.t, moment=moment)
+    reach = np.max(np.linalg.norm(pts.positions, axis=-1))
+    return ShakingMomentSeries(t=traj.t, moment=moment,
+                               noise_floor=_roundoff_floor(mp.total * reach**2, dt))
 
 
 def summarize(force: ShakingForceSeries, moment: ShakingMomentSeries) -> ShakingSummary:
@@ -112,6 +140,8 @@ def summarize(force: ShakingForceSeries, moment: ShakingMomentSeries) -> Shaking
         peak_moment=float(mmag[km]),
         t_peak_moment=float(moment.t[km]),
         rms_moment=float(np.sqrt(np.mean(mmag**2))),
+        force_floor=force.noise_floor,
+        moment_floor=moment.noise_floor,
     )
 
 
@@ -122,10 +152,17 @@ def evaluate(traj: Trajectory, g: GeometryParams, mp: MassParams):
     return force, moment, summarize(force, moment)
 
 
-def reduction_pct(unbalanced: float, balanced: float) -> float:
-    """Percentage reduction (1 - balanced/unbalanced)*100; 0 when both vanish."""
-    if unbalanced == 0.0:
+def reduction_pct(unbalanced: float, balanced: float, floor: float) -> float | None:
+    """Percentage reduction (1 - balanced/unbalanced)*100 of two peaks.
+
+    0 when both vanish; None (undefined) when the unbalanced peak is not
+    above ``floor``, the roundoff floor of its finite differences, so the
+    ratio would be one of noise.
+    """
+    if unbalanced == balanced == 0.0:
         return 0.0
+    if unbalanced <= floor:
+        return None
     return (1.0 - balanced / unbalanced) * 100.0
 
 
@@ -134,6 +171,8 @@ def compare(unbalanced: ShakingSummary, balanced: ShakingSummary) -> ComparisonR
     return ComparisonReport(
         unbalanced=unbalanced,
         balanced=balanced,
-        force_reduction_pct=reduction_pct(unbalanced.peak_force, balanced.peak_force),
-        moment_reduction_pct=reduction_pct(unbalanced.peak_moment, balanced.peak_moment),
+        force_reduction_pct=reduction_pct(unbalanced.peak_force, balanced.peak_force,
+                                          unbalanced.force_floor),
+        moment_reduction_pct=reduction_pct(unbalanced.peak_moment, balanced.peak_moment,
+                                           unbalanced.moment_floor),
     )

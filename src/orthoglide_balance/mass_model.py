@@ -72,31 +72,13 @@ def lumped_points(p, rho, g: GeometryParams, mp: MassParams) -> LumpedPointSet:
     return LumpedPointSet(positions=positions, masses=masses)
 
 
-def com_from_points(pts: LumpedPointSet) -> np.ndarray:
-    """Mass-weighted mean position of a lumped point set."""
-    total = float(np.sum(pts.masses))
-    if total <= 0.0:
-        raise ValueError("total mass must be > 0 to define a center of mass")
-    return pts.masses @ pts.positions / total
-
-
-def com_closed_form(p, rho, g: GeometryParams, mp: MassParams) -> np.ndarray:
-    """COM of the moving links as an affine function of (p, rho).
-
-    Componentwise: S = [m1*(rho + 3p)/2 + m2*(rho + l) + m3*p] / total.
-    Identical to the mass-weighted mean of the seven lumped points.
-    """
-    p = np.asarray(p, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    return (mp.m1 * (rho + 3.0 * p) / 2.0 + mp.m2 * (rho + g.l) + mp.m3 * p) / mp.total
-
-
 def com_of_pose(p, g: GeometryParams, mp: MassParams) -> np.ndarray:
     """COM as a function of the platform pose alone, for poses of shape (..., 3).
 
     The joint displacements are eliminated through the inverse kinematics:
     S = [s*(m1/2 + m2)*sqrt(radicands) + (2m1 + m2 + m3)*p + m2*l] / total.
-    Algebraically equal to com_closed_form(p, inverse_kinematics(p)).
+    Algebraically equal to the mass-weighted mean of the seven lumped points
+    of (p, inverse_kinematics(p)).
 
     Raises
     ------

@@ -23,6 +23,7 @@ PLAN_MODES = (MODE_PLATFORM_LINE, MODE_COM_LINE)
 # Newton tolerance on the COM residual, in meters.
 COM_SOLVE_TOL = 1e-10
 _MAX_ITER = 50
+# Largest Frobenius condition number of the COM Jacobian a Newton step uses.
 _MAX_CONDITION = 1e12
 # Per-row outcome of solve_com_waypoint.
 _CONVERGED, _NOT_CONVERGED, _BOUNDARY, _STALLED = range(4)
@@ -146,6 +147,20 @@ def uniform_dt(t: np.ndarray) -> float:
     return float(dt)
 
 
+def _well_conditioned(J) -> np.ndarray:
+    """Per (3, 3) matrix: Frobenius condition number ||J||_F * ||J^-1||_F at
+    most ``_MAX_CONDITION``.
+
+    J^-1 is the transposed cofactor matrix over det(J), so no inverse or SVD
+    is formed.  The Frobenius condition number bounds the 2-norm one from
+    above, so this guard is at least as strict as a 2-norm test.
+    """
+    cof = np.cross(J[:, [1, 2, 0]], J[:, [2, 0, 1]])
+    det = np.sum(J[:, 0] * cof[:, 0], axis=-1)
+    return (np.linalg.norm(J, axis=(-2, -1)) * np.linalg.norm(cof, axis=(-2, -1))
+            <= _MAX_CONDITION * np.abs(det))
+
+
 def solve_com_waypoint(S_target, guess, g: GeometryParams, mp: MassParams):
     """Platform poses whose moving-link COM equals ``S_target``.
 
@@ -202,7 +217,7 @@ def solve_com_waypoint(S_target, guess, g: GeometryParams, mp: MassParams):
         k, polish = k[~spent], polish[~spent]
         J = com_pose_jacobian(p[k], g, mp)
         ok = np.all(np.isfinite(J), axis=(-2, -1))
-        ok[ok] = np.linalg.cond(J[ok]) <= _MAX_CONDITION
+        ok[ok] = _well_conditioned(J[ok])
         failure[k[~ok & ~polish]] = _BOUNDARY
         k, polish = k[ok], polish[ok]
         step = np.linalg.solve(J[ok], -f[k, :, None])[..., 0]

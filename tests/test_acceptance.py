@@ -7,30 +7,21 @@ import numpy as np
 import pytest
 
 from orthoglide_balance import (
-    BANG_BANG,
     MODE_COM_LINE,
-    QUINTIC,
-    ProfileSpec,
-    bang_bang_scalar,
-    com_closed_form,
-    com_from_points,
-    com_of_pose,
     compare,
     default_config,
     evaluate,
-    forward_kinematics,
-    inverse_kinematics,
-    lumped_points,
-    peak_acceleration,
     plan_com_line,
-    quintic_scalar,
     run_scenario,
-    second_time_derivative,
-    shaking_force_series,
-    solve_com_waypoint,
 )
+from orthoglide_balance.dynamics import second_time_derivative, shaking_force_series
+from orthoglide_balance.geometry import inverse_kinematics
+from orthoglide_balance.mass_model import com_of_pose, lumped_points
+from orthoglide_balance.planner import solve_com_waypoint
+from orthoglide_balance.profiles import bang_bang_scalar, quintic_scalar
 
 from conftest import P_F, P_I, make_request, random_feasible_poses
+from oracles import com_closed_form, com_from_points, forward_kinematics
 
 
 def _report(number, name, detail=""):
@@ -71,24 +62,25 @@ def test_c03_com_model_equivalence(geometry, masses):
     _report(3, "com model equivalence", f"worst route mismatch = {worst:.3e} m")
 
 
-def test_c04_profile_constants():
-    t_f, length = 0.7, 0.115771
-    bb = peak_acceleration(ProfileSpec(BANG_BANG, t_f), length)
-    qu = peak_acceleration(ProfileSpec(QUINTIC, t_f), length)
-    assert bb == 4.0 * length / t_f**2
-    assert qu == 10.0 * length / (math.sqrt(3.0) * t_f**2)
+def _peak_law_accelerations(t_f):
+    # grid maxima of |sigma''| of the bang-bang and the quintic law
     t = np.linspace(0.0, t_f, 100_000)
-    _, _, a_bb = bang_bang_scalar(t, t_f)
-    _, _, a_qu = quintic_scalar(t, t_f)
-    assert np.abs(a_bb * length).max() == pytest.approx(bb, rel=1e-4)
-    assert np.abs(a_qu * length).max() == pytest.approx(qu, rel=1e-4)
+    return (float(np.abs(bang_bang_scalar(t, t_f)[2]).max()),
+            float(np.abs(quintic_scalar(t, t_f)[2]).max()))
+
+
+def test_c04_profile_constants():
+    t_f = 0.7
+    bb, qu = _peak_law_accelerations(t_f)
+    assert bb == 4.0 / t_f**2
+    assert qu == pytest.approx(10.0 / (math.sqrt(3.0) * t_f**2), rel=1e-4)
     _report(4, "profile constants",
-            f"peaks {bb:.6f} / {qu:.6f} m/s^2, grid max within 0.01%")
+            f"grid peaks {bb:.6f} / {qu:.6f} 1/s^2: 4/t_f^2 exactly, "
+            "10/(sqrt(3)*t_f^2) within 0.01%")
 
 
 def test_c05_analytic_reduction():
-    bb = peak_acceleration(ProfileSpec(BANG_BANG, 1.0), 1.0)
-    qu = peak_acceleration(ProfileSpec(QUINTIC, 1.0), 1.0)
+    bb, qu = _peak_law_accelerations(1.0)
     reduction = (1.0 - bb / qu) * 100.0
     assert reduction == pytest.approx(30.72, abs=0.05)
     _report(5, "analytic bang-bang vs quintic reduction", f"{reduction:.4f} %")

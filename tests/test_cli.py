@@ -5,14 +5,13 @@ import pytest
 
 from orthoglide_balance import (
     ConfigError,
-    config_from_dict,
     default_config,
     load_config,
     run_scenario,
-    save_config,
     validate_config,
 )
 from orthoglide_balance.cli import CSV_HEADER, main
+from orthoglide_balance.config import config_from_dict, save_config
 
 from dataclasses import replace
 
@@ -130,6 +129,19 @@ class TestRunScenario:
         assert np.abs(data[:, 10:14]).max() == 0.0
         assert summary["force_reduction_pct"] == 0.0
 
+    def test_noise_floor_reduction_undefined(self, tmp_path):
+        # Without link masses the COM is the platform point; on a line through
+        # the origin both moments are roundoff (~1e-11 N·m), so their ratio
+        # means nothing, while the force reduction is the analytic 30.72 %.
+        cfg = replace(default_config(), m1=0.0, m2=0.0)
+        summary = run_scenario(cfg, out_dir=tmp_path)
+        assert summary["moment_reduction_pct"] is None
+        assert summary["force_reduction_pct"] == pytest.approx(30.72, abs=0.05)
+        on_disk = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+        assert on_disk["moment_reduction_pct"] is None
+        text = (tmp_path / "summary.txt").read_text(encoding="utf-8")
+        assert "shaking moment reduction (peak): undefined" in text
+
     def test_validation_failure_raises(self, tmp_path):
         with pytest.raises(ConfigError) as exc:
             run_scenario(small_config(s_z=5), out_dir=tmp_path)
@@ -181,6 +193,22 @@ class TestCliMain:
         stdout = capsys.readouterr().out
         assert "force reduction" in stdout
         assert (out / "summary.json").exists()
+
+    def test_run_prints_undefined_reduction(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        save_config(small_config(m1=0.0, m2=0.0), path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        stdout = capsys.readouterr().out
+        assert "moment reduction: undefined" in stdout
+        assert "force reduction:  30.69 %" in stdout
+
+    @pytest.mark.parametrize("target", ["file", "file/sub"])
+    def test_run_unwritable_output_exit_code(self, tmp_path, capsys, target):
+        path = tmp_path / "cfg.json"
+        save_config(small_config(), path)
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / target)]) == 1
+        assert "error: cannot write output:" in capsys.readouterr().err
 
     def test_run_mode_flag(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -5,17 +5,19 @@ from orthoglide_balance import (
     MODE_COM_LINE,
     MODE_PLATFORM_LINE,
     MassParams,
-    Trajectory,
-    com_of_pose,
     compare,
     evaluate,
     plan_com_line,
     plan_platform_line,
+)
+from orthoglide_balance.dynamics import (
     second_time_derivative,
     shaking_force_series,
     shaking_moment_series,
     summarize,
 )
+from orthoglide_balance.mass_model import com_of_pose
+from orthoglide_balance.planner import Trajectory
 
 from conftest import P_F, P_I, T_F, make_geometry, make_masses, make_request
 
@@ -100,8 +102,8 @@ class TestShakingMoment:
 
     def test_lumped_force_sum_matches_com_force(self, com_plan, geometry, masses):
         # the moment model and the force model share the mass bookkeeping
-        from orthoglide_balance import lumped_points
         from orthoglide_balance.dynamics import uniform_dt
+        from orthoglide_balance.mass_model import lumped_points
 
         dt = uniform_dt(com_plan.t)
         n = len(com_plan)
@@ -182,6 +184,25 @@ class TestCompare:
                          evaluate(com_plan, geometry, masses)[2])
         assert 25.0 <= report.force_reduction_pct <= 40.0
         assert report.moment_reduction_pct > 0.0
+
+    @pytest.mark.parametrize("dt", [1e-3, 1e-4])
+    def test_noise_floor_reduction_undefined(self, geometry, dt):
+        # m1 = m2 = 0 on a line through the origin: r x a vanishes, so both
+        # moment peaks are roundoff below the unbalanced plan's floor.
+        mp = MassParams(m1=0.0, m2=0.0, m3=0.905)
+        unbalanced = evaluate(plan_platform_line(
+            make_request(MODE_PLATFORM_LINE, dt=dt, masses=mp)), geometry, mp)[2]
+        balanced = evaluate(plan_com_line(
+            make_request(MODE_COM_LINE, dt=dt, masses=mp)), geometry, mp)[2]
+        assert 0.0 < unbalanced.peak_moment < unbalanced.moment_floor
+        report = compare(unbalanced, balanced)
+        assert report.moment_reduction_pct is None
+        assert report.force_reduction_pct == pytest.approx(30.72, abs=0.05)
+
+    def test_floors_far_below_benchmark_peaks(self, platform_plan, geometry, masses):
+        summary = evaluate(platform_plan, geometry, masses)[2]
+        assert summary.force_floor < 1e-6 * summary.peak_force
+        assert summary.moment_floor < 1e-6 * summary.peak_moment
 
     def test_zero_motion_zero_reduction(self, geometry, masses):
         req = make_request(MODE_PLATFORM_LINE, p_f=P_I, dt=0.01)

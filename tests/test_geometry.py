@@ -6,14 +6,11 @@ from orthoglide_balance import (
     InfeasiblePoseError,
     KinematicsError,
     SolverError,
-    forward_kinematics,
-    inverse_kinematics,
-    is_feasible,
-    joint_points,
-    radicands,
 )
+from orthoglide_balance.geometry import inverse_kinematics, is_feasible, joint_points, radicands
 
 from conftest import make_geometry, random_feasible_poses
+from oracles import forward_kinematics
 
 # Benchmark final pose and its joint displacements (hand arithmetic:
 # rho = p + sqrt of L^2 minus the squared off-axis distances).

@@ -3,22 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
-from orthoglide_balance import (
-    InfeasiblePoseError,
-    KinematicsError,
+from orthoglide_balance import InfeasiblePoseError, KinematicsError, MassParams, SolverError
+from orthoglide_balance.geometry import inverse_kinematics
+from orthoglide_balance.mass_model import (
     LumpedPointSet,
-    MassParams,
-    SolverError,
-    com_closed_form,
-    com_from_points,
     com_of_pose,
     com_pose_jacobian,
-    inverse_kinematics,
     lumped_points,
-    solve_com_waypoint,
 )
+from orthoglide_balance.planner import solve_com_waypoint
 
 from conftest import make_geometry, make_masses, random_feasible_poses
+from oracles import com_closed_form, com_from_points
 
 HOME_RHO = np.array([0.31, 0.31, 0.31])
 # Hand arithmetic for the home configuration with the reference masses:

@@ -9,17 +9,13 @@ from orthoglide_balance import (
     PlanningError,
     PlanRequest,
     SolverError,
-    Trajectory,
-    com_of_pose,
-    inverse_kinematics,
     plan_com_line,
     plan_platform_line,
-    quintic_scalar,
-    radicands,
-    solve_com_waypoint,
-    time_grid,
 )
-from orthoglide_balance.planner import uniform_dt
+from orthoglide_balance.geometry import inverse_kinematics, radicands
+from orthoglide_balance.mass_model import com_of_pose
+from orthoglide_balance.planner import Trajectory, solve_com_waypoint, time_grid, uniform_dt
+from orthoglide_balance.profiles import quintic_scalar
 
 from conftest import (
     P_F,

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from orthoglide_balance import (
-    BANG_BANG,
-    QUINTIC,
-    ProfileSpec,
-    bang_bang_scalar,
-    peak_acceleration,
-    quintic_scalar,
-)
+from orthoglide_balance.profiles import bang_bang_scalar, quintic_scalar
 
 
 class TestBangBang:
@@ -78,22 +71,25 @@ class TestQuintic:
             quintic_scalar(t, 1.0)
 
 
-@pytest.mark.parametrize("kind,law", [(BANG_BANG, bang_bang_scalar), (QUINTIC, quintic_scalar)])
+# Each law with its paper peak |sigma''| * t_f^2.
+@pytest.mark.parametrize("law,peak", [
+    pytest.param(bang_bang_scalar, 4.0, id="bang_bang-bang_bang_scalar"),
+    pytest.param(quintic_scalar, 10.0 / math.sqrt(3.0), id="quintic-quintic_scalar"),
+])
 class TestProfileLawProperties:
-    def test_grid_max_matches_closed_form(self, kind, law):
+    def test_grid_max_matches_closed_form(self, law, peak):
         t_f = 0.8
         t = np.linspace(0.0, t_f, 100_000)
         _, _, a = law(t, t_f)
-        expected = peak_acceleration(ProfileSpec(kind=kind, t_f=t_f), 1.0)
-        assert np.abs(a).max() == pytest.approx(expected, rel=1e-4)
+        assert np.abs(a).max() == pytest.approx(peak / t_f**2, rel=1e-4)
 
-    def test_velocity_integrates_to_unit_displacement(self, kind, law):
+    def test_velocity_integrates_to_unit_displacement(self, law, peak):
         t_f = 1.3
         t = np.linspace(0.0, t_f, 10_001)
         _, v, _ = law(t, t_f)
         assert np.trapezoid(v, t) == pytest.approx(1.0, abs=1e-6)
 
-    def test_finite_differences_reproduce_derivatives(self, kind, law):
+    def test_finite_differences_reproduce_derivatives(self, law, peak):
         t_f = 1.0
         h = 1e-4
         # interior points away from the bang-bang switch instant
@@ -105,33 +101,16 @@ class TestProfileLawProperties:
             assert (s_p - s_m) / (2 * h) == pytest.approx(v_0, abs=1e-6)
             assert (s_p - 2 * s_0 + s_m) / h**2 == pytest.approx(a_0, abs=1e-6)
 
-    def test_monotone_position(self, kind, law):
+    def test_monotone_position(self, law, peak):
         t = np.linspace(0.0, 2.0, 5001)
         s, _, _ = law(t, 2.0)
         assert np.all(np.diff(s) >= 0.0)
         assert s[0] == 0.0 and s[-1] == 1.0
 
-
-class TestPeakAcceleration:
-    def test_bang_bang_unit(self):
-        assert peak_acceleration(ProfileSpec(BANG_BANG, 1.0), 1.0) == 4.0
-
-    def test_quintic_unit(self):
-        expected = 10.0 / math.sqrt(3.0)
-        assert peak_acceleration(ProfileSpec(QUINTIC, 1.0), 1.0) == expected
-        assert expected == pytest.approx(5.7735, abs=1e-4)
-
-    def test_zero_path(self):
-        assert peak_acceleration(ProfileSpec(BANG_BANG, 2.0), 0.0) == 0.0
-        assert peak_acceleration(ProfileSpec(QUINTIC, 2.0), 0.0) == 0.0
-
-    def test_scaling(self):
-        spec = ProfileSpec(BANG_BANG, 2.0)
-        assert peak_acceleration(spec, 3.0) == 3.0
-
-    def test_negative_path_rejected(self):
-        with pytest.raises(ValueError):
-            peak_acceleration(ProfileSpec(BANG_BANG, 1.0), -1.0)
+    def test_bad_duration_rejected(self, law, peak):
+        for t_f in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="duration t_f must be > 0"):
+                law(0.0, t_f)
 
 
 class TestLineTrajectory:
@@ -143,22 +122,3 @@ class TestLineTrajectory:
         t = np.linspace(0.0, 1.0, 20001)
         _, _, a = bang_bang_scalar(t, 1.0)
         assert np.abs(a * d).max() == pytest.approx(0.463084, abs=1e-6)
-
-    def test_quintic_to_bangbang_reduction(self):
-        spec_q = ProfileSpec(QUINTIC, 1.0)
-        spec_b = ProfileSpec(BANG_BANG, 1.0)
-        ratio = peak_acceleration(spec_q, 1.0) / peak_acceleration(spec_b, 1.0)
-        assert ratio == pytest.approx(1.4434, abs=1e-4)
-        reduction = (1.0 - 1.0 / ratio) * 100.0
-        assert reduction == pytest.approx(30.72, abs=0.05)
-
-
-class TestSpecsValidation:
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            ProfileSpec("trapezoid", 1.0)
-
-    @pytest.mark.parametrize("t_f", [0.0, -1.0, np.nan])
-    def test_bad_duration(self, t_f):
-        with pytest.raises(ValueError):
-            ProfileSpec(BANG_BANG, t_f)
