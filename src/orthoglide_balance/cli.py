@@ -107,15 +107,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
     violations = validate_config(cfg)
     if violations:
         raise ConfigError(violations)
+    req = cfg.plan_request()
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    g = cfg.geometry_params()
-    mp = cfg.mass_params()
     summaries = {}
     for mode in cfg.modes:
-        traj = _PLANNERS[mode](cfg.plan_request(mode))
-        force, moment, summary = evaluate(traj, g, mp)
+        traj = _PLANNERS[mode](req)
+        force, moment, summary = evaluate(traj, req.geometry, req.masses)
         write_trajectory_csv(out / f"{mode}.csv", traj, force, moment)
         summaries[mode] = summary
 

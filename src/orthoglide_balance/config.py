@@ -54,10 +54,9 @@ class ScenarioConfig:
     def mass_params(self) -> MassParams:
         return MassParams(m1=self.m1, m2=self.m2, m3=self.m3)
 
-    def plan_request(self, mode: str) -> PlanRequest:
+    def plan_request(self) -> PlanRequest:
         return PlanRequest(p_i=self.p_i, p_f=self.p_f, t_f=self.t_f, dt=self.dt,
-                           mode=mode, geometry=self.geometry_params(),
-                           masses=self.mass_params())
+                           geometry=self.geometry_params(), masses=self.mass_params())
 
     def to_dict(self) -> dict:
         return {

@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import GeometryParams
 from .mass_model import MassParams, lumped_points
-from .planner import Trajectory, uniform_dt
+from .planner import Trajectory
 
 # Roundoff gain of a finite-difference load: the stencil's coefficient sum
 # (4 inside, 12 at the ends) times a few ulps of error in each position.
@@ -25,12 +25,9 @@ _ROUNDOFF_GAIN = 64.0
 
 @dataclass(frozen=True)
 class ShakingForceSeries:
-    """Per-sample COM acceleration (m/s^2) and shaking force (N), with the
-    roundoff floor of |force| (N)."""
+    """Per-sample shaking force (N), with the roundoff floor of |force| (N)."""
 
-    t: np.ndarray          # (n,)
-    com_accel: np.ndarray  # (n, 3)
-    force: np.ndarray      # (n, 3)
+    force: np.ndarray  # (n, 3)
     noise_floor: float
 
 
@@ -39,7 +36,6 @@ class ShakingMomentSeries:
     """Per-sample shaking moment (N*m) about the fixed-frame origin, with the
     roundoff floor of |moment| (N*m)."""
 
-    t: np.ndarray       # (n,)
     moment: np.ndarray  # (n, 3)
     noise_floor: float
 
@@ -61,12 +57,10 @@ class ShakingSummary:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Summaries for an unbalanced/balanced pair plus reduction percentages,
-    computed as (1 - balanced/unbalanced) * 100 on the peak magnitudes (None
-    where the unbalanced peak is roundoff noise, see ``reduction_pct``)."""
+    """Reduction percentages from an unbalanced to a balanced plan, computed
+    as (1 - balanced/unbalanced) * 100 on the peak magnitudes (None where the
+    unbalanced peak is roundoff noise, see ``reduction_pct``)."""
 
-    unbalanced: ShakingSummary
-    balanced: ShakingSummary
     force_reduction_pct: float | None
     moment_reduction_pct: float | None
 
@@ -102,11 +96,9 @@ def shaking_force_series(traj: Trajectory, mp: MassParams) -> ShakingForceSeries
     Its roundoff floor is c*eps*M*max|S|/dt^2 (c = ``_ROUNDOFF_GAIN``) with
     M the total mass and S the COM.
     """
-    dt = uniform_dt(traj.t)
-    accel = second_time_derivative(traj.com, dt)
-    floor = _roundoff_floor(mp.total * np.max(np.linalg.norm(traj.com, axis=1)), dt)
-    return ShakingForceSeries(t=traj.t, com_accel=accel, force=mp.total * accel,
-                              noise_floor=floor)
+    accel = second_time_derivative(traj.com, traj.dt)
+    floor = _roundoff_floor(mp.total * np.max(np.linalg.norm(traj.com, axis=1)), traj.dt)
+    return ShakingForceSeries(force=mp.total * accel, noise_floor=floor)
 
 
 def shaking_moment_series(traj: Trajectory, g: GeometryParams,
@@ -118,27 +110,26 @@ def shaking_moment_series(traj: Trajectory, g: GeometryParams,
     floor is c*eps*M*R^2/dt^2 (c = ``_ROUNDOFF_GAIN``) with R the largest
     lumped-point distance from the origin.
     """
-    dt = uniform_dt(traj.t)
     pts = lumped_points(traj.platform, traj.joints, g, mp)
-    accels = second_time_derivative(pts.positions, dt)
+    accels = second_time_derivative(pts.positions, traj.dt)
     moment = np.einsum("k,nkj->nj", pts.masses, np.cross(pts.positions, accels))
     reach = np.max(np.linalg.norm(pts.positions, axis=-1))
-    return ShakingMomentSeries(t=traj.t, moment=moment,
-                               noise_floor=_roundoff_floor(mp.total * reach**2, dt))
+    return ShakingMomentSeries(moment=moment,
+                               noise_floor=_roundoff_floor(mp.total * reach**2, traj.dt))
 
 
-def summarize(force: ShakingForceSeries, moment: ShakingMomentSeries) -> ShakingSummary:
-    """Peak/RMS magnitudes of a force and moment series pair."""
+def summarize(t, force: ShakingForceSeries, moment: ShakingMomentSeries) -> ShakingSummary:
+    """Peak/RMS magnitudes of a force and moment series pair sampled at ``t``."""
     fmag = np.linalg.norm(force.force, axis=1)
     mmag = np.linalg.norm(moment.moment, axis=1)
     kf = int(np.argmax(fmag))
     km = int(np.argmax(mmag))
     return ShakingSummary(
         peak_force=float(fmag[kf]),
-        t_peak_force=float(force.t[kf]),
+        t_peak_force=float(t[kf]),
         rms_force=float(np.sqrt(np.mean(fmag**2))),
         peak_moment=float(mmag[km]),
-        t_peak_moment=float(moment.t[km]),
+        t_peak_moment=float(t[km]),
         rms_moment=float(np.sqrt(np.mean(mmag**2))),
         force_floor=force.noise_floor,
         moment_floor=moment.noise_floor,
@@ -149,7 +140,7 @@ def evaluate(traj: Trajectory, g: GeometryParams, mp: MassParams):
     """Convenience: force series, moment series and their summary."""
     force = shaking_force_series(traj, mp)
     moment = shaking_moment_series(traj, g, mp)
-    return force, moment, summarize(force, moment)
+    return force, moment, summarize(traj.t, force, moment)
 
 
 def reduction_pct(unbalanced: float, balanced: float, floor: float) -> float | None:
@@ -169,8 +160,6 @@ def reduction_pct(unbalanced: float, balanced: float, floor: float) -> float | N
 def compare(unbalanced: ShakingSummary, balanced: ShakingSummary) -> ComparisonReport:
     """Reduction of the peak loads from the unbalanced to the balanced plan."""
     return ComparisonReport(
-        unbalanced=unbalanced,
-        balanced=balanced,
         force_reduction_pct=reduction_pct(unbalanced.peak_force, balanced.peak_force,
                                           unbalanced.force_floor),
         moment_reduction_pct=reduction_pct(unbalanced.peak_moment, balanced.peak_moment,

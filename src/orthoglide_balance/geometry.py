@@ -17,6 +17,10 @@ from .errors import ConfigError, InfeasiblePoseError, KinematicsError
 AXIS_NAMES = ("x", "y", "z")
 # Largest leg-length error |B_i C_i| - L accepted by joint_points, in meters.
 _LEG_TOL = 1e-8
+# Longest L and l, in meters.  _LEG_TOL and planner.COM_SOLVE_TOL are absolute,
+# so lengths must stay far above their roundoff: an ulp of 1e3 m is 1.1e-13 m,
+# while from about 1e8 m on the leg check fails on roundoff alone.
+_MAX_LENGTH = 1e3
 
 
 @dataclass(frozen=True)
@@ -48,10 +52,10 @@ class GeometryParams:
 
     def __post_init__(self):
         v = []
-        if not (np.isfinite(self.L) and self.L > 0):
-            v.append(f"L must be > 0, got {self.L}")
-        if not (np.isfinite(self.l) and self.l >= 0):
-            v.append(f"l must be >= 0, got {self.l}")
+        if not 0 < self.L <= _MAX_LENGTH:
+            v.append(f"L must be > 0 and at most {_MAX_LENGTH:g} m, got {self.L}")
+        if not 0 <= self.l <= _MAX_LENGTH:
+            v.append(f"l must be >= 0 and at most {_MAX_LENGTH:g} m, got {self.l}")
         if len(self.s) != 3:
             v.append(f"s must hold three configuration indices, got {self.s!r}")
         else:

@@ -15,6 +15,10 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import GeometryParams, joint_points, sqrt_radicands
 
+# Largest link mass, in kilograms.  The loads are proportional to it; with
+# geometry._MAX_LENGTH and planner._MIN_DT this bound keeps them finite.
+_MAX_MASS = 1e30
+
 
 @dataclass(frozen=True)
 class MassParams:
@@ -36,8 +40,8 @@ class MassParams:
         v = []
         for name in ("m1", "m2", "m3"):
             m = getattr(self, name)
-            if not (np.isfinite(m) and m >= 0):
-                v.append(f"{name} must be >= 0, got {m}")
+            if not 0 <= m <= _MAX_MASS:
+                v.append(f"{name} must be >= 0 and at most {_MAX_MASS:g} kg, got {m}")
         if not v and not self.total > 0:
             v.append("total moving mass must be > 0")
         if v:

@@ -27,28 +27,31 @@ _MAX_ITER = 50
 _MAX_CONDITION = 1e12
 # Per-row outcome of solve_com_waypoint.
 _CONVERGED, _NOT_CONVERGED, _BOUNDARY, _STALLED = range(4)
+# Longest duration and shortest step, in seconds.  The shaking moment grows as
+# M*L^2/dt^2 and its RMS squares it: with lengths <= 1e3 m and link masses
+# <= 1e30 kg (geometry._MAX_LENGTH, mass_model._MAX_MASS) it stays below
+# 1e99 N*m, so no square overflows.  The motion laws square t_f.
+_MAX_T_F = 1e30
+_MIN_DT = 1e-30
 
 
 @dataclass(frozen=True)
 class PlanRequest:
-    """A full planning problem: endpoints, timing, mode and mechanism data.
+    """A point-to-point planning problem: endpoints, timing and mechanism
+    data, planned by either strategy.
 
-    Raises ConfigError listing every violated rule (see ``violations``) plus
-    an unknown ``mode``.
+    Raises ConfigError listing every violated rule (see ``violations``).
     """
 
     p_i: np.ndarray
     p_f: np.ndarray
     t_f: float
     dt: float
-    mode: str
     geometry: GeometryParams
     masses: MassParams
 
     def __post_init__(self):
         v = self.violations(self.p_i, self.p_f, self.t_f, self.dt, self.geometry)
-        if self.mode not in PLAN_MODES:
-            v.append(f"unknown planning mode {self.mode!r}; expected one of {PLAN_MODES}")
         if v:
             raise ConfigError(v)
         object.__setattr__(self, "p_i", np.asarray(self.p_i, dtype=float))
@@ -60,9 +63,10 @@ class PlanRequest:
         its field name.
 
         Endpoints must be finite 3-vectors inside the workspace of
-        ``geometry`` (not judged when ``geometry`` is None).  t_f and dt must
-        be > 0, dt at most t_f/100 (at least 100 samples), and the steps of
-        ``time_grid(t_f, dt)`` must be equal as ``uniform_dt`` requires.
+        ``geometry`` (not judged when ``geometry`` is None).  t_f must lie
+        in (0, ``_MAX_T_F``] and dt in [``_MIN_DT``, t_f/100] (at least 100
+        samples), and the steps of ``time_grid(t_f, dt)`` must be equal as a
+        Trajectory requires.
         """
         v = []
         for name, p in (("p_i", p_i), ("p_f", p_f)):
@@ -75,11 +79,11 @@ class PlanRequest:
             elif geometry is not None and not is_feasible(arr, geometry):
                 v.append(f"{name} = {arr.tolist()} is outside the workspace "
                          f"(min radicand {np.min(radicands(arr, geometry)):.6g} m²)")
-        t_ok = bool(np.isfinite(t_f) and t_f > 0)
+        t_ok = bool(0 < t_f <= _MAX_T_F)
         if not t_ok:
-            v.append(f"t_f must be > 0, got {t_f}")
-        if not (np.isfinite(dt) and dt > 0):
-            v.append(f"dt must be > 0, got {dt}")
+            v.append(f"t_f must be > 0 and at most {_MAX_T_F:g} s, got {t_f}")
+        if not (np.isfinite(dt) and dt >= _MIN_DT):
+            v.append(f"dt must be at least {_MIN_DT:g} s, got {dt}")
         elif t_ok and dt > t_f / 100.0 * (1.0 + 1e-12):
             v.append(f"dt too large: need ≥ 100 samples, got dt = {dt} for t_f = {t_f}")
         elif t_ok:
@@ -97,10 +101,10 @@ class Trajectory:
 
     Every sample keeps the platform pose, the joint displacements recomputed
     from it, and the COM recomputed from it, so the rows are self-consistent
-    by construction.
+    by construction.  The grid is checked once, here: its steps must all
+    equal ``dt`` to rounding, so the finite-difference loads can use ``dt``.
     """
 
-    mode: str
     t: np.ndarray         # (n,)
     platform: np.ndarray  # (n, 3)
     joints: np.ndarray    # (n, 3)
@@ -110,8 +114,8 @@ class Trajectory:
         n = len(self.t)
         if n < 2:
             raise ValueError("a trajectory needs at least two samples")
-        if np.any(np.diff(self.t) <= 0):
-            raise ValueError("sample times must be strictly increasing")
+        if not (self.dt > 0 and _equal_steps(np.diff(self.t), self.dt)):
+            raise ValueError("sample times must increase in equal steps")
         for name in ("platform", "joints", "com"):
             if getattr(self, name).shape != (n, 3):
                 raise ValueError(f"{name} must have shape ({n}, 3)")
@@ -119,12 +123,17 @@ class Trajectory:
     def __len__(self):
         return len(self.t)
 
+    @property
+    def dt(self) -> float:
+        """The grid step (t[-1] - t[0]) / (n - 1)."""
+        return float((self.t[-1] - self.t[0]) / (len(self.t) - 1))
+
 
 def time_grid(t_f: float, dt: float) -> np.ndarray:
     """Grid of round(t_f/dt) steps of dt over [0, t_f], both endpoints included.
 
     The last sample is pinned to t_f; PlanRequest only accepts (t_f, dt)
-    whose grid ``uniform_dt`` accepts.
+    whose grid has equal steps.
     """
     n = round(t_f / dt)
     t = dt * np.arange(n + 1)
@@ -133,18 +142,8 @@ def time_grid(t_f: float, dt: float) -> np.ndarray:
 
 
 def _equal_steps(steps, dt) -> bool:
-    return bool(np.allclose(steps, dt, rtol=1e-6, atol=1e-12))
-
-
-def uniform_dt(t: np.ndarray) -> float:
-    """Return the grid step, rejecting non-uniform time grids."""
-    t = np.asarray(t, dtype=float)
-    if len(t) < 2:
-        raise ValueError("need at least two samples")
-    dt = (t[-1] - t[0]) / (len(t) - 1)
-    if not _equal_steps(np.diff(t), dt):
-        raise ValueError("non-uniform time grid; dynamics needs equally spaced samples")
-    return float(dt)
+    # relative only: an absolute tolerance would pass any grid of tiny steps
+    return bool(np.allclose(steps, dt, rtol=1e-6, atol=0.0))
 
 
 def _well_conditioned(J) -> np.ndarray:
@@ -261,8 +260,6 @@ def plan_platform_line(req: PlanRequest) -> Trajectory:
 
     Raises PlanningError at the first infeasible intermediate pose.
     """
-    if req.mode != MODE_PLATFORM_LINE:
-        raise ValueError(f"plan_platform_line requires mode {MODE_PLATFORM_LINE!r}, got {req.mode!r}")
     t = time_grid(req.t_f, req.dt)
     sigma, _, _ = quintic_scalar(t, req.t_f)
     platform = req.p_i[None, :] + np.multiply.outer(sigma, req.p_f - req.p_i)
@@ -274,9 +271,9 @@ def plan_platform_line(req: PlanRequest) -> Trajectory:
         k = exc.index
         raise PlanningError(
             f"platform-line plan hit an infeasible pose at t = {t[k]:.6g} s: {exc}",
-            mode=req.mode, t=float(t[k])) from exc
+            mode=MODE_PLATFORM_LINE, t=float(t[k])) from exc
     com = com_of_pose(platform, req.geometry, req.masses)
-    return Trajectory(mode=req.mode, t=t, platform=platform, joints=joints, com=com)
+    return Trajectory(t=t, platform=platform, joints=joints, com=com)
 
 
 def plan_com_line(req: PlanRequest) -> Trajectory:
@@ -291,8 +288,6 @@ def plan_com_line(req: PlanRequest) -> Trajectory:
     Raises PlanningError with the earliest failing time if any waypoint
     cannot be inverted (non-convergence or workspace-boundary singularity).
     """
-    if req.mode != MODE_COM_LINE:
-        raise ValueError(f"plan_com_line requires mode {MODE_COM_LINE!r}, got {req.mode!r}")
     g, mp = req.geometry, req.masses
     S_i = com_of_pose(req.p_i, g, mp)
     S_f = com_of_pose(req.p_f, g, mp)
@@ -309,6 +304,6 @@ def plan_com_line(req: PlanRequest) -> Trajectory:
         k = exc.index + 1
         raise PlanningError(
             f"COM-line plan failed at t = {t[k]:.6g} s: {exc}",
-            mode=req.mode, t=float(t[k])) from exc
-    return Trajectory(mode=req.mode, t=t, platform=platform,
+            mode=MODE_COM_LINE, t=float(t[k])) from exc
+    return Trajectory(t=t, platform=platform,
                       joints=inverse_kinematics(platform, g), com=com_of_pose(platform, g, mp))

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from orthoglide_balance import (
-    MODE_COM_LINE,
-    MODE_PLATFORM_LINE,
     GeometryParams,
     MassParams,
     PlanRequest,
@@ -37,8 +35,8 @@ def make_masses(scale=1.0):
     return MassParams(m1=scale * m1, m2=scale * m2, m3=scale * m3)
 
 
-def make_request(mode, dt=DT, t_f=T_F, p_i=P_I, p_f=P_F, geometry=None, masses=None):
-    return PlanRequest(p_i=p_i, p_f=p_f, t_f=t_f, dt=dt, mode=mode,
+def make_request(dt=DT, t_f=T_F, p_i=P_I, p_f=P_F, geometry=None, masses=None):
+    return PlanRequest(p_i=p_i, p_f=p_f, t_f=t_f, dt=dt,
                        geometry=geometry or make_geometry(),
                        masses=masses or make_masses())
 
@@ -64,19 +62,19 @@ def masses():
 
 @pytest.fixture(scope="session")
 def platform_plan():
-    return plan_platform_line(make_request(MODE_PLATFORM_LINE))
+    return plan_platform_line(make_request())
 
 
 @pytest.fixture(scope="session")
 def com_plan():
-    return plan_com_line(make_request(MODE_COM_LINE))
+    return plan_com_line(make_request())
 
 
 @pytest.fixture(scope="session")
 def platform_plan_half_dt():
-    return plan_platform_line(make_request(MODE_PLATFORM_LINE, dt=DT / 2))
+    return plan_platform_line(make_request(dt=DT / 2))
 
 
 @pytest.fixture(scope="session")
 def com_plan_half_dt():
-    return plan_com_line(make_request(MODE_COM_LINE, dt=DT / 2))
+    return plan_com_line(make_request(dt=DT / 2))

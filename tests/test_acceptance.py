@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from orthoglide_balance import (
-    MODE_COM_LINE,
     compare,
     default_config,
     evaluate,
@@ -165,7 +164,7 @@ def test_planning_runtime_budget():
     import time
 
     start = time.perf_counter()
-    plan_com_line(make_request(MODE_COM_LINE))
+    plan_com_line(make_request())
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _report(6, "runtime budget", f"com-line plan in {elapsed:.2f} s")

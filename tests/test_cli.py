@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,43 @@ from orthoglide_balance.config import config_from_dict, save_config
 from dataclasses import replace
 
 from conftest import UNREACHABLE_P_F, UNREACHABLE_P_I
+
+SHIPPED_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "default.json"
+
+# summary.json of the default scenario at dt = 1e-3.  A refactor must not move
+# these numbers, and the coarse bands of c06 (1 %) and c07 (25-40 %) would not
+# notice if it did.
+GOLDEN_MODES = {
+    "platform_line_quintic": {
+        "peak_force_N": 1.9340912223609192,
+        "t_peak_force_s": 0.793,
+        "rms_force_N": 1.3624227458703426,
+        "peak_moment_Nm": 0.056505108568952175,
+        "t_peak_moment_s": 0.8,
+        "rms_moment_Nm": 0.03918213625887733,
+    },
+    "com_line_bangbang": {
+        "peak_force_N": 1.3137682867595395,
+        "t_peak_force_s": 0.812,
+        "rms_force_N": 1.3131118946514408,
+        "peak_moment_Nm": 0.04164857780677811,
+        "t_peak_moment_s": 0.501,
+        "rms_moment_Nm": 0.03532432726828566,
+    },
+}
+GOLDEN_REDUCTIONS = {
+    "force_reduction_pct": 32.07309605821796,
+    "moment_reduction_pct": 26.29236743089327,
+}
+
+# Extremes whose loads or motion laws overflow a float: each is refused by a
+# bound of GeometryParams, MassParams or PlanRequest.
+EXTREME_INPUTS = {
+    "huge_leg": (dict(L=1e200), "geometry.L"),
+    "huge_duration": (dict(t_f=1e200, dt=1e198), "trajectory.t_f"),
+    "huge_mass": (dict(m3=1e300), "masses.m3"),
+    "tiny_step": (dict(t_f=1e-80, dt=1e-82), "trajectory.dt"),
+}
 
 
 def small_config(**kw):
@@ -162,6 +201,29 @@ class TestRunScenario:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+class TestDefaultScenario:
+    def test_shipped_file_is_default_config(self):
+        assert load_config(SHIPPED_SCENARIO) == default_config()
+
+    def test_golden_summary(self, tmp_path):
+        summary = run_scenario(default_config(), out_dir=tmp_path)
+        assert summary["modes"].keys() == GOLDEN_MODES.keys()
+        for mode, golden in GOLDEN_MODES.items():
+            assert summary["modes"][mode] == pytest.approx(golden, rel=1e-9), mode
+        reductions = {key: summary[key] for key in GOLDEN_REDUCTIONS}
+        assert reductions == pytest.approx(GOLDEN_REDUCTIONS, rel=1e-9)
+
+    def test_largest_accepted_scales_stay_finite(self, tmp_path):
+        # every length, mass and time at its bound, on a move across the
+        # workspace: the loads are huge but finite, so summary.json is JSON
+        cfg = replace(default_config(), L=1e3, l=1e3, m1=1e30, m2=1e30, m3=1e30,
+                      p_i=(0.0, 1e3, 0.0), p_f=(1e3, 0.0, 0.0), t_f=1e-28, dt=1e-30)
+        summary = run_scenario(cfg, out_dir=tmp_path)
+        text = (tmp_path / "summary.json").read_text(encoding="utf-8")
+        assert "NaN" not in text and "Infinity" not in text
+        assert all(math.isfinite(v) for s in summary["modes"].values() for v in s.values())
+
+
 class TestCliMain:
     def test_validate_ok(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -229,6 +291,17 @@ class TestCliMain:
         save_config(small_config(dt=0.0015), path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "violation: trajectory.dt = 0.0015 does not split" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("case", sorted(EXTREME_INPUTS))
+    def test_extreme_input_exit_code(self, tmp_path, capsys, case, command):
+        change, field = EXTREME_INPUTS[case]
+        path = tmp_path / "cfg.json"
+        save_config(replace(default_config(), **change), path)
+        out = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, "--config", str(path)] + out) == 1
+        assert f"violation: {field} must be" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_run_planning_error_exit_code(self, tmp_path, capsys):

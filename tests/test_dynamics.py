@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from orthoglide_balance import (
-    MODE_COM_LINE,
-    MODE_PLATFORM_LINE,
     MassParams,
     compare,
     evaluate,
@@ -14,7 +12,6 @@ from orthoglide_balance.dynamics import (
     second_time_derivative,
     shaking_force_series,
     shaking_moment_series,
-    summarize,
 )
 from orthoglide_balance.mass_model import com_of_pose
 from orthoglide_balance.planner import Trajectory
@@ -45,7 +42,7 @@ class TestSecondTimeDerivative:
 
 class TestShakingForce:
     def test_constant_trajectory_zero_force(self, masses):
-        req = make_request(MODE_PLATFORM_LINE, p_f=P_I, dt=0.01)
+        req = make_request(p_f=P_I, dt=0.01)
         traj = plan_platform_line(req)
         series = shaking_force_series(traj, masses)
         assert np.abs(series.force).max() == 0.0
@@ -55,30 +52,26 @@ class TestShakingForce:
         peak = np.linalg.norm(series.force, axis=1).max()
         assert peak == pytest.approx(BENCH_PEAK_FORCE, rel=0.01)
 
-    def test_force_is_mass_times_accel(self, com_plan, masses):
-        series = shaking_force_series(com_plan, masses)
-        np.testing.assert_allclose(series.force, masses.total * series.com_accel,
-                                   rtol=1e-15)
-
     def test_mass_scaling_on_fixed_path(self):
         # platform-line kinematics do not depend on the masses, so scaling
         # all masses exactly scales the force series
-        req1 = make_request(MODE_PLATFORM_LINE, dt=0.01)
-        req2 = make_request(MODE_PLATFORM_LINE, dt=0.01, masses=make_masses(scale=2.0))
+        req1 = make_request(dt=0.01)
+        req2 = make_request(dt=0.01, masses=make_masses(scale=2.0))
         f1 = shaking_force_series(plan_platform_line(req1), make_masses())
         f2 = shaking_force_series(plan_platform_line(req2), make_masses(scale=2.0))
         np.testing.assert_array_equal(f2.force, 2.0 * f1.force)
 
-    def test_nonuniform_grid_rejected(self, masses):
+    def test_nonuniform_grid_rejected(self):
+        # the finite differences need equal steps; a Trajectory cannot hold
+        # any other grid
         t = np.array([0.0, 0.1, 0.2, 0.25, 0.3, 0.4])
         arr = np.zeros((6, 3))
-        traj = Trajectory(mode=MODE_COM_LINE, t=t, platform=arr, joints=arr, com=arr)
-        with pytest.raises(ValueError, match="non-uniform"):
-            shaking_force_series(traj, masses)
+        with pytest.raises(ValueError, match="equal steps"):
+            Trajectory(t=t, platform=arr, joints=arr, com=arr)
 
     def test_fd_matches_bangbang_plateau(self, com_plan, masses):
         series = shaking_force_series(com_plan, masses)
-        mags = np.linalg.norm(series.com_accel, axis=1)
+        mags = np.linalg.norm(series.force, axis=1) / masses.total
         dt = com_plan.t[1] - com_plan.t[0]
         mask = np.abs(com_plan.t - 0.5) > 2 * dt
         np.testing.assert_allclose(mags[mask], 4.0 * BENCH_D, rtol=0.01)
@@ -86,7 +79,7 @@ class TestShakingForce:
 
 class TestShakingMoment:
     def test_constant_trajectory_zero_moment(self, geometry, masses):
-        req = make_request(MODE_PLATFORM_LINE, p_f=P_I, dt=0.01)
+        req = make_request(p_f=P_I, dt=0.01)
         series = shaking_moment_series(plan_platform_line(req), geometry, masses)
         assert np.abs(series.moment).max() == 0.0
 
@@ -95,17 +88,16 @@ class TestShakingMoment:
         # r and a stay parallel so every moment contribution vanishes
         g = make_geometry()
         mp = MassParams(m1=0.0, m2=0.0, m3=1.1)
-        req = make_request(MODE_PLATFORM_LINE, p_i=(0, 0, 0), p_f=(-0.05, 0.04, 0.06),
+        req = make_request(p_i=(0, 0, 0), p_f=(-0.05, 0.04, 0.06),
                            dt=0.01, masses=mp)
         series = shaking_moment_series(plan_platform_line(req), g, mp)
         assert np.abs(series.moment).max() < 1e-12
 
     def test_lumped_force_sum_matches_com_force(self, com_plan, geometry, masses):
         # the moment model and the force model share the mass bookkeeping
-        from orthoglide_balance.dynamics import uniform_dt
         from orthoglide_balance.mass_model import lumped_points
 
-        dt = uniform_dt(com_plan.t)
+        dt = com_plan.dt
         n = len(com_plan)
         positions = np.empty((n, 7, 3))
         for k in range(n):
@@ -137,7 +129,7 @@ class TestGridConvergence:
     def test_com_peak_force_refines_to_analytic(self, dt, geometry, masses):
         # the FD peak force of the COM line stays on M*4|D|/t_f^2 as the
         # grid is refined, rather than drifting with the solver residual
-        traj = plan_com_line(make_request(MODE_COM_LINE, dt=dt))
+        traj = plan_com_line(make_request(dt=dt))
         peak = np.linalg.norm(shaking_force_series(traj, masses).force, axis=1).max()
         D = com_of_pose(P_F, geometry, masses) - com_of_pose(P_I, geometry, masses)
         assert peak == pytest.approx(masses.total * 4.0 * np.linalg.norm(D) / T_F**2, rel=1e-5)
@@ -191,9 +183,9 @@ class TestCompare:
         # moment peaks are roundoff below the unbalanced plan's floor.
         mp = MassParams(m1=0.0, m2=0.0, m3=0.905)
         unbalanced = evaluate(plan_platform_line(
-            make_request(MODE_PLATFORM_LINE, dt=dt, masses=mp)), geometry, mp)[2]
+            make_request(dt=dt, masses=mp)), geometry, mp)[2]
         balanced = evaluate(plan_com_line(
-            make_request(MODE_COM_LINE, dt=dt, masses=mp)), geometry, mp)[2]
+            make_request(dt=dt, masses=mp)), geometry, mp)[2]
         assert 0.0 < unbalanced.peak_moment < unbalanced.moment_floor
         report = compare(unbalanced, balanced)
         assert report.moment_reduction_pct is None
@@ -205,9 +197,9 @@ class TestCompare:
         assert summary.moment_floor < 1e-6 * summary.peak_moment
 
     def test_zero_motion_zero_reduction(self, geometry, masses):
-        req = make_request(MODE_PLATFORM_LINE, p_f=P_I, dt=0.01)
-        req2 = make_request(MODE_COM_LINE, p_f=P_I, dt=0.01)
+        req = make_request(p_f=P_I, dt=0.01)
+        req2 = make_request(p_f=P_I, dt=0.01)
         report = compare(evaluate(plan_platform_line(req), geometry, masses)[2],
                          evaluate(plan_com_line(req2), geometry, masses)[2])
         assert report.force_reduction_pct == 0.0
-        assert report.unbalanced.peak_force == 0.0
+        assert report.moment_reduction_pct == 0.0

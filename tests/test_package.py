@@ -1,4 +1,5 @@
 import orthoglide_balance
+from orthoglide_balance import PLAN_MODES, cli, planner
 
 PUBLIC = {
     "ConfigError", "InfeasiblePoseError", "KinematicsError", "PlanningError", "SolverError",
@@ -14,3 +15,13 @@ def test_public_surface():
     assert set(orthoglide_balance.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(orthoglide_balance, name) is not None
+
+
+def test_benchmark_entry_points():
+    # the scenario benchmark runs cli.main, checks rows against cli.CSV_HEADER
+    # and planner.time_grid, and traces the planners through cli._PLANNERS: a
+    # rename must fail here rather than zero its ok_frac
+    assert callable(cli.main)
+    assert cli.CSV_HEADER.startswith("t,")
+    assert callable(planner.time_grid)
+    assert tuple(cli._PLANNERS) == PLAN_MODES

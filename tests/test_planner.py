@@ -14,7 +14,7 @@ from orthoglide_balance import (
 )
 from orthoglide_balance.geometry import inverse_kinematics, radicands
 from orthoglide_balance.mass_model import com_of_pose
-from orthoglide_balance.planner import Trajectory, solve_com_waypoint, time_grid, uniform_dt
+from orthoglide_balance.planner import Trajectory, solve_com_waypoint, time_grid
 from orthoglide_balance.profiles import quintic_scalar
 
 from conftest import (
@@ -23,7 +23,6 @@ from conftest import (
     UNREACHABLE_P_F,
     UNREACHABLE_P_I,
     make_geometry,
-    make_masses,
     make_request,
     random_feasible_poses,
 )
@@ -33,46 +32,36 @@ RHO_F = np.array([0.1812472, 0.3420294, 0.1749561])
 
 class TestPlanRequest:
     def test_valid(self):
-        req = make_request(MODE_COM_LINE)
-        assert req.mode == MODE_COM_LINE
+        req = make_request()
+        np.testing.assert_array_equal(req.p_f, P_F)
+        assert req.p_f.dtype == float
 
     def test_dt_too_large(self):
         with pytest.raises(ValueError, match="too large"):
-            make_request(MODE_COM_LINE, dt=0.5)
+            make_request(dt=0.5)
 
     def test_dt_boundary_accepted(self):
-        make_request(MODE_COM_LINE, dt=0.01)  # exactly 100 samples
+        make_request(dt=0.01)  # exactly 100 samples
 
     @pytest.mark.parametrize("dt", [0.0, -0.001, np.nan])
     def test_bad_dt(self, dt):
         with pytest.raises(ValueError):
-            make_request(MODE_COM_LINE, dt=dt)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError, match="unknown planning mode"):
-            make_request("spline")
+            make_request(dt=dt)
 
     def test_infeasible_endpoint(self):
         with pytest.raises(ConfigError, match="p_f = .* outside the workspace"):
-            make_request(MODE_COM_LINE, p_f=(0.0, 0.4, 0.0))
+            make_request(p_f=(0.0, 0.4, 0.0))
 
-    @pytest.mark.parametrize("t_f,dt", [(1.0, 0.0015), (1.0, 0.003), (0.7, 0.0015)])
+    @pytest.mark.parametrize("t_f,dt", [(1.0, 0.0015), (1.0, 0.003), (0.7, 0.0015),
+                                        (1e-9, 1.5e-12)])
     def test_off_grid_dt_rejected(self, t_f, dt):
         with pytest.raises(ConfigError, match="equal steps"):
-            make_request(MODE_COM_LINE, t_f=t_f, dt=dt)
+            make_request(t_f=t_f, dt=dt)
 
     def test_violations_reported_together(self):
         with pytest.raises(ConfigError) as exc:
-            make_request("spline", p_i=(0.0, 0.0), dt=0.5)
+            make_request(p_i=(0.0, 0.0), p_f=(0.0, 0.4, 0.0), dt=0.5)
         assert len(exc.value.violations) == 3
-
-    def test_wrong_mode_dispatch(self):
-        req = make_request(MODE_COM_LINE)
-        with pytest.raises(ValueError):
-            plan_platform_line(req)
-        req2 = make_request(MODE_PLATFORM_LINE)
-        with pytest.raises(ValueError):
-            plan_com_line(req2)
 
 
 class TestTimeGrid:
@@ -82,8 +71,8 @@ class TestTimeGrid:
         assert t[0] == 0.0 and t[-1] == 1.0
         np.testing.assert_allclose(np.diff(t), 0.001, rtol=1e-9)
 
-    def test_grid_rule_matches_uniform_dt(self):
-        # PlanRequest accepts (t_f, dt) exactly when uniform_dt accepts the
+    def test_grid_rule_matches_trajectory(self):
+        # PlanRequest accepts (t_f, dt) exactly when a Trajectory accepts the
         # full grid, whose samples are then k*dt up to the pinned t_f
         rng = np.random.default_rng(41)
         for t_f in rng.uniform(0.5, 2.0, 100):
@@ -91,8 +80,9 @@ class TestTimeGrid:
             for dt in (1e-3, 1.5e-3, t_f / n, t_f / n * (1 + 1e-9), t_f / n * (1 - 1e-7),
                        t_f / n * (1 + 1e-5), t_f / (n + 0.5)):
                 t = time_grid(t_f, dt)
+                arr = np.zeros((len(t), 3))
                 try:
-                    uniform_dt(t)
+                    Trajectory(t=t, platform=arr, joints=arr, com=arr)
                     grid_ok = True
                 except ValueError:
                     grid_ok = False
@@ -127,7 +117,7 @@ class TestPlanPlatformLine:
         assert np.linalg.norm(transverse, axis=1).max() < 1e-12
 
     def test_constant_when_endpoints_coincide(self):
-        req = make_request(MODE_PLATFORM_LINE, p_f=P_I, dt=0.01)
+        req = make_request(p_f=P_I, dt=0.01)
         traj = plan_platform_line(req)
         np.testing.assert_array_equal(traj.platform, np.tile(P_I, (len(traj), 1)))
         assert np.abs(np.diff(traj.com, axis=0)).max() == 0.0
@@ -135,13 +125,14 @@ class TestPlanPlatformLine:
     def test_infeasible_sample_names_time(self):
         # an endpoint outside the workspace, past PlanRequest's check: the
         # error names the first sample whose pose is infeasible
-        req = make_request(MODE_PLATFORM_LINE, dt=0.01)
+        req = make_request(dt=0.01)
         object.__setattr__(req, "p_f", np.array([0.0, 0.62, 0.0]))
         with pytest.raises(PlanningError) as exc:
             plan_platform_line(req)
         t = time_grid(req.t_f, req.dt)
         platform = np.multiply.outer(quintic_scalar(t, req.t_f)[0], req.p_f)
         first = t[np.argmax(np.any(radicands(platform, req.geometry) < 0, axis=1))]
+        assert exc.value.mode == MODE_PLATFORM_LINE
         assert exc.value.t == first
         assert f"t = {first:.6g} s" in str(exc.value)
 
@@ -245,7 +236,7 @@ class TestPlanComLine:
 
     @pytest.mark.parametrize("dt", [0.01, 0.001])  # coarsest allowed and default
     def test_warm_start_iteration_budget(self, dt, geometry, masses):
-        traj = plan_com_line(make_request(MODE_COM_LINE, dt=dt))
+        traj = plan_com_line(make_request(dt=dt))
         S_i = com_of_pose(P_I, geometry, masses)
         S_f = com_of_pose(P_F, geometry, masses)
         D = S_f - S_i
@@ -262,14 +253,14 @@ class TestPlanComLine:
         # an endpoint on the workspace boundary plans in either direction,
         # and the two platform paths are one another reversed
         edge, home = (0.0, 0.31, 0.0), (0.0, 0.0, 0.0)
-        out = plan_com_line(make_request(MODE_COM_LINE, p_i=edge, p_f=home))
-        back = plan_com_line(make_request(MODE_COM_LINE, p_i=home, p_f=edge))
+        out = plan_com_line(make_request(p_i=edge, p_f=home))
+        back = plan_com_line(make_request(p_i=home, p_f=edge))
         assert np.abs(out.platform - back.platform[::-1]).max() <= 1e-12
 
     def test_unreachable_line_names_first_failing_time(self):
         # a straight COM line that leaves the reachable set part way: the
         # error names the earliest sample that cannot be inverted
-        req = make_request(MODE_COM_LINE, p_i=UNREACHABLE_P_I, p_f=UNREACHABLE_P_F,
+        req = make_request(p_i=UNREACHABLE_P_I, p_f=UNREACHABLE_P_F,
                            geometry=make_geometry(s=(1, 1, -1)))
         with pytest.raises(PlanningError) as exc:
             plan_com_line(req)
@@ -282,12 +273,21 @@ class TestTrajectoryType:
         t = np.array([0.0, 0.1, 0.1])
         arr = np.zeros((3, 3))
         with pytest.raises(ValueError):
-            Trajectory(mode=MODE_COM_LINE, t=t, platform=arr, joints=arr, com=arr)
+            Trajectory(t=t, platform=arr, joints=arr, com=arr)
+
+    def test_decreasing_grid_rejected(self):
+        t = np.linspace(1.0, 0.0, 5)
+        arr = np.zeros((5, 3))
+        with pytest.raises(ValueError, match="equal steps"):
+            Trajectory(t=t, platform=arr, joints=arr, com=arr)
+
+    def test_dt_is_grid_span_over_steps(self, com_plan):
+        assert com_plan.dt == (com_plan.t[-1] - com_plan.t[0]) / (len(com_plan) - 1)
 
     def test_shape_checked(self):
         t = np.linspace(0, 1, 5)
         with pytest.raises(ValueError):
-            Trajectory(mode=MODE_COM_LINE, t=t, platform=np.zeros((4, 3)),
+            Trajectory(t=t, platform=np.zeros((4, 3)),
                        joints=np.zeros((5, 3)), com=np.zeros((5, 3)))
 
     def test_len(self, com_plan):

@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orthoglide_balance import (
-    MODE_COM_LINE,
     PLAN_MODES,
     PlanningError,
     ScenarioConfig,
@@ -86,7 +85,7 @@ def test_com_line_is_straight_with_analytic_peak_force(cfg):
     assume(cfg.m1 + cfg.m2 + cfg.m3 > 0.0)
     g, mp = cfg.geometry_params(), cfg.mass_params()
     try:
-        req = cfg.plan_request(MODE_COM_LINE)
+        req = cfg.plan_request()
         traj = plan_com_line(req)
     except (ValueError, PlanningError):
         assume(False)  # an endpoint rounded outside the workspace, or unreachable
