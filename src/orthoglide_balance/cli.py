@@ -37,17 +37,120 @@ _PLANNERS = {
 }
 
 
+# The CSV formatter.  Each value gets a 28-byte cell of seven 4-byte words:
+# sign, "d.dd", three 4-digit groups, "e±XX", separator; unused bytes are 0
+# and dropped at the end.  The byte tables are viewed as uint32 so that one
+# gather fills a word.
+_CELL = 28
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+_POW10 = 10.0 ** np.arange(23)  # exact doubles
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_n = np.arange(10000)
+_GROUP = (np.stack([_n // 1000, _n // 100 % 10, _n // 10 % 10, _n % 10], axis=1)
+          + ord("0")).astype(np.uint8)
+_LEAD = _GROUP[:1000].copy()
+_LEAD[:, 0] = _LEAD[:, 1]
+_LEAD[:, 1] = ord(".")
+_e = np.arange(-8, 16)
+_EXPONENT = np.stack([np.full(_e.size, ord("e")), np.where(_e < 0, ord("-"), ord("+")),
+                      ord("0") + abs(_e) // 10, ord("0") + abs(_e) % 10], axis=1).astype(np.uint8)
+_GROUP, _LEAD, _EXPONENT = (t.view(np.uint32).ravel() for t in (_GROUP, _LEAD, _EXPONENT))
+del _n, _e
+# Rows formatted at a time: small enough that the temporaries stay in cache.
+_CHUNK_ROWS = 512
+
+
+def _scaled(a, e):
+    """a * 10**(14 - e) as the exact sum hi + lo (Dekker's two-product)."""
+    k = 14 - e
+    hi = a * _POW10.take(k)
+    t = a * _SPLIT
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = _POW10_HI.take(k), _POW10_LO.take(k)
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return hi, lo
+
+
+def _format_rows(table) -> bytes:
+    """The rows of ``table``, each value as ``'%.14e' % x``, with ',' between
+    values and '\\n' after each row.
+
+    For 1e-8 <= |x| < 1e15 the 15-digit mantissa is x * 10**(14 - e), formed
+    exactly and rounded half to even; 10**k is exact for k <= 22.  ±0 takes
+    its sign from the sign bit.  Other values (subnormal, tiny, huge, nan,
+    ±inf) are formatted one by one with ``%``.
+    """
+    x = table.ravel()
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = ((a >= 1e-8) & (a < 1e15)) | zero
+    a = np.where(fast & ~zero, a, 1.0)
+    # log10 may miss a power of ten by one; the exact product then lies
+    # outside [1e14, 1e15) and the row is redone once with e ± 1
+    e = np.clip(np.floor(np.log10(a)), -8, 14).astype(np.intp)
+    hi, lo = _scaled(a, e)
+    low = (hi < 1e14) | ((hi == 1e14) & (lo < 0))
+    high = (hi > 1e15) | ((hi == 1e15) & (lo >= 0))
+    redo = np.flatnonzero(low | high)
+    if redo.size:
+        e[redo] += np.where(high[redo], 1, -1)
+        hi[redo], lo[redo] = _scaled(a[redo], e[redo])
+    # hi - floor(hi) - 0.5 is exact and, when nonzero, outweighs |lo|
+    m = np.floor(hi)
+    d = hi - m - 0.5
+    up = (d > 0) | ((d == 0) & (lo > 0))
+    tie = np.flatnonzero((d == 0) & (lo == 0))
+    up[tie] = m[tie] % 2 == 1
+    m += up
+    carry = m == 1e15
+    m[carry] = 1e14
+    e += carry
+    m[zero] = 0.0
+    e[zero] = 0
+    # 15 digits as 3|4|4|4; every quotient is exact in float64
+    g1 = np.floor(m / 1e12)
+    m -= g1 * 1e12
+    g2 = np.floor(m / 1e8)
+    m -= g2 * 1e8
+    g3 = np.floor(m / 1e4)
+    m -= g3 * 1e4
+    cells = np.zeros((x.size, _CELL // 4), np.uint32)
+    for word, lookup, group in ((1, _LEAD, g1), (2, _GROUP, g2), (3, _GROUP, g3), (4, _GROUP, m)):
+        cells[:, word] = lookup.take(group.astype(np.intp))
+    cells[:, 5] = _EXPONENT.take(e + 8)
+    cells = cells.view(np.uint8)
+    cells[:, 3] = np.signbit(x) * np.uint8(ord("-"))
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = np.array(["%.14e" % v for v in x[slow].tolist()], dtype="S24")
+        cells[slow, :24] = text.view(np.uint8).reshape(-1, 24)
+    cells = cells.reshape(table.shape + (_CELL,))
+    cells[:, :-1, 24] = ord(",")
+    cells[:, -1, 24] = ord("\n")
+    cells = cells.ravel()
+    return cells[cells != 0].tobytes()
+
+
 def write_trajectory_csv(path, traj, force_series, moment_series) -> None:
-    """One row per sample, each value with 15 significant digits in fixed
-    scientific notation."""
+    """One row per sample, each value formatted exactly as C/Python
+    ``'%.14e' % x``: 15 significant digits, correctly rounded from the exact
+    binary value, ties to even.
+
+    Values with 1e-8 <= |x| < 1e15, and ±0, are formatted by a numpy kernel
+    over blocks of rows; subnormal, smaller or larger values, nan and ±inf
+    (which includes every 3-digit exponent) fall back to ``%`` one by one.
+    """
     table = np.column_stack([
         traj.t, traj.platform, traj.joints, traj.com,
         force_series.force, np.linalg.norm(force_series.force, axis=1),
         moment_series.moment, np.linalg.norm(moment_series.moment, axis=1),
     ])
-    row = ",".join(["%.14e"] * table.shape[1]) + "\n"
-    text = CSV_HEADER + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    with open(path, "wb") as fh:
+        fh.write((CSV_HEADER + "\n").encode("utf-8"))
+        for start in range(0, len(table), _CHUNK_ROWS):
+            fh.write(_format_rows(table[start:start + _CHUNK_ROWS]))
 
 
 def _summary_dict(cfg: ScenarioConfig, summaries: dict, report) -> dict:

@@ -33,6 +33,11 @@ _CONVERGED, _NOT_CONVERGED, _BOUNDARY, _STALLED = range(4)
 # 1e99 N*m, so no square overflows.  The motion laws square t_f.
 _MAX_T_F = 1e30
 _MIN_DT = 1e-30
+# Most steps t_f/dt.  A two-mode run needs about 1.2 KiB of memory and
+# writes about 0.74 KB of CSV per sample (150 MiB and 74 MB at 1e5 steps), so
+# 1e6 steps stay near 1.2 GiB; without a bound, t_f = 1 s and dt = 2**-50 s
+# passed validation and the grid could not be allocated.
+_MAX_SAMPLES = 1e6
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,8 @@ class PlanRequest:
         Endpoints must be finite 3-vectors inside the workspace of
         ``geometry`` (not judged when ``geometry`` is None).  t_f must lie
         in (0, ``_MAX_T_F``] and dt in [``_MIN_DT``, t_f/100] (at least 100
-        samples), and the steps of ``time_grid(t_f, dt)`` must be equal as a
-        Trajectory requires.
+        samples) and at least t_f/``_MAX_SAMPLES``, and the steps of
+        ``time_grid(t_f, dt)`` must be equal as a Trajectory requires.
         """
         v = []
         for name, p in (("p_i", p_i), ("p_f", p_f)):
@@ -86,6 +91,9 @@ class PlanRequest:
             v.append(f"dt must be at least {_MIN_DT:g} s, got {dt}")
         elif t_ok and dt > t_f / 100.0 * (1.0 + 1e-12):
             v.append(f"dt too large: need ≥ 100 samples, got dt = {dt} for t_f = {t_f}")
+        elif t_ok and t_f / dt > _MAX_SAMPLES:
+            v.append(f"dt must be at least t_f/{_MAX_SAMPLES:g} (at most {_MAX_SAMPLES:g} "
+                     f"steps), got dt = {dt} for t_f = {t_f}")
         elif t_ok:
             # time_grid's first step is dt and its last is t_f - (n-1)*dt; the
             # steps between equal dt to rounding.

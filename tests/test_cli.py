@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -47,13 +48,33 @@ GOLDEN_REDUCTIONS = {
     "moment_reduction_pct": 26.29236743089327,
 }
 
-# Extremes whose loads or motion laws overflow a float: each is refused by a
-# bound of GeometryParams, MassParams or PlanRequest.
+# SHA-256 of both CSVs, recorded with the per-value '%.14e' writer that the
+# vectorised one replaced: the default scenario at dt = 1e-3, and a zero-length
+# move whose force and moment columns are all zero.
+GOLDEN_CSV_SHA256 = {
+    "default": {
+        "platform_line_quintic.csv":
+            "2f6ecf8732071912d584f56f571c0b52e99e59e258c3a9eef52f421deb80d90d",
+        "com_line_bangbang.csv":
+            "61e9ce1c0351b50e2d5c297de6d892703e0b02c254ad2e2562f79ac5e03f74dd",
+    },
+    "zero_motion": {
+        "platform_line_quintic.csv":
+            "76676c2c94c3b3248ddfd00bb8cb06732a1e61e50f40154486f8379e140dab1d",
+        "com_line_bangbang.csv":
+            "76676c2c94c3b3248ddfd00bb8cb06732a1e61e50f40154486f8379e140dab1d",
+    },
+}
+
+# Extremes whose loads or motion laws overflow a float, or whose grid cannot
+# be allocated: each is refused by a bound of GeometryParams, MassParams or
+# PlanRequest.
 EXTREME_INPUTS = {
     "huge_leg": (dict(L=1e200), "geometry.L"),
     "huge_duration": (dict(t_f=1e200, dt=1e198), "trajectory.t_f"),
     "huge_mass": (dict(m3=1e300), "masses.m3"),
     "tiny_step": (dict(t_f=1e-80, dt=1e-82), "trajectory.dt"),
+    "too_many_samples": (dict(t_f=1.0, dt=2.0**-50), "trajectory.dt"),
 }
 
 
@@ -212,6 +233,14 @@ class TestDefaultScenario:
             assert summary["modes"][mode] == pytest.approx(golden, rel=1e-9), mode
         reductions = {key: summary[key] for key in GOLDEN_REDUCTIONS}
         assert reductions == pytest.approx(GOLDEN_REDUCTIONS, rel=1e-9)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CSV_SHA256))
+    def test_golden_csv_bytes(self, tmp_path, case):
+        cfg = default_config() if case == "default" else small_config(p_f=(0.0, 0.0, 0.0))
+        run_scenario(cfg, out_dir=tmp_path)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in GOLDEN_CSV_SHA256[case]}
+        assert digests == GOLDEN_CSV_SHA256[case]
 
     def test_largest_accepted_scales_stay_finite(self, tmp_path):
         # every length, mass and time at its bound, on a move across the

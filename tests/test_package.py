@@ -1,3 +1,5 @@
+import inspect
+
 import orthoglide_balance
 from orthoglide_balance import PLAN_MODES, cli, planner
 
@@ -19,9 +21,13 @@ def test_public_surface():
 
 def test_benchmark_entry_points():
     # the scenario benchmark runs cli.main, checks rows against cli.CSV_HEADER
-    # and planner.time_grid, and traces the planners through cli._PLANNERS: a
-    # rename must fail here rather than zero its ok_frac
+    # and planner.time_grid, traces the planners through cli._PLANNERS and
+    # times the CSV writer as cli.write_trajectory_csv: a rename must fail
+    # here rather than zero its ok_frac or drop a per-layer figure
     assert callable(cli.main)
+    assert callable(cli.write_trajectory_csv)
+    assert list(inspect.signature(cli.write_trajectory_csv).parameters) == [
+        "path", "traj", "force_series", "moment_series"]
     assert cli.CSV_HEADER.startswith("t,")
     assert callable(planner.time_grid)
     assert tuple(cli._PLANNERS) == PLAN_MODES

@@ -43,6 +43,13 @@ class TestPlanRequest:
     def test_dt_boundary_accepted(self):
         make_request(dt=0.01)  # exactly 100 samples
 
+    def test_step_count_bound(self):
+        # checked from t_f/dt alone: no grid is allocated
+        assert PlanRequest.violations(P_I, P_F, 1.0, 1e-6, make_geometry()) == []
+        v = PlanRequest.violations(P_I, P_F, 1.0, 1.0 / (1e6 + 1), make_geometry())
+        assert v == [f"dt must be at least t_f/1e+06 (at most 1e+06 steps), "
+                     f"got dt = {1.0 / (1e6 + 1)} for t_f = 1.0"]
+
     @pytest.mark.parametrize("dt", [0.0, -0.001, np.nan])
     def test_bad_dt(self, dt):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """Property tests over random scenarios: all eight branches, endpoints up to
 the workspace boundary, zero-length moves, zero link masses and grids of
-100 to 1000 steps.  Example generation is derandomized, so every run of the
-suite checks the same scenarios."""
+100 to 1000 steps; and of the CSV formatter against ``'%.14e' %``.  Example
+generation is derandomized, so every run of the suite checks the same
+scenarios."""
 
 import itertools
 import math
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from orthoglide_balance import (
     PLAN_MODES,
@@ -19,7 +21,7 @@ from orthoglide_balance import (
     evaluate,
     plan_com_line,
 )
-from orthoglide_balance.cli import main
+from orthoglide_balance.cli import _format_rows, main
 from orthoglide_balance.config import save_config
 from orthoglide_balance.mass_model import com_of_pose
 
@@ -102,3 +104,40 @@ def test_com_line_is_straight_with_analytic_peak_force(cfg):
     roundoff = (FORCE_ROUNDOFF * np.finfo(float).eps * mp.total
                 * float(np.max(np.linalg.norm(traj.com, axis=1))) / cfg.dt**2)
     assert abs(force - exact) <= 1e-7 * exact + roundoff
+
+
+def _edge_values():
+    """Values where a '%.14e' formatter can go wrong."""
+    rng = np.random.default_rng(5)
+    powers = [float(f"1e{k}") for k in range(-12, 17)]
+    values = [0.0, math.nan, math.inf, 5e-324, 2.225073858507201e-308,
+              2.2250738585072014e-308, 1e100, 1.5e-100, 1.7976931348623157e308, 1e-300]
+    values += [v for p in powers for v in (p, np.nextafter(p, 0.0), np.nextafter(p, np.inf))]
+    # just below a power of ten: rounds up to it, or only nearly
+    values += [9.999999999999995 * p for p in powers] + [9.9999999999999996 * p for p in powers]
+    for n in rng.integers(10**14, 10**15, 20).tolist():
+        values += [n + 0.5]                                       # exact ties
+        values += [n // 10 + 0.25, n // 10 + 0.75]                # exact ties
+        values += [(10 * n + 5) / 10**j for j in range(1, 23)]    # nearest to ties
+    return values + [-v for v in values]
+
+
+EDGE_VALUES = _edge_values()
+
+
+def _percent_rows(table):
+    row = ",".join(["%.14e"] * table.shape[1]) + "\n"
+    return ((row * len(table)) % tuple(table.ravel().tolist())).encode("ascii")
+
+
+def test_formatter_matches_percent_on_edge_values():
+    table = np.array(EDGE_VALUES + [0.0] * (-len(EDGE_VALUES) % 18)).reshape(-1, 18)
+    assert _format_rows(table) == _percent_rows(table)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 18)),
+              elements=st.one_of(st.floats(), st.floats(-1e15, 1e15),
+                                 st.sampled_from(EDGE_VALUES))))
+def test_formatter_matches_percent(table):
+    assert _format_rows(table) == _percent_rows(table)
